@@ -24,10 +24,6 @@ class NotSeparable(ValueError):
     pass
 
 
-class NotExtendable(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # generic evaluation of e-homomorphisms
 # ---------------------------------------------------------------------------
@@ -215,10 +211,6 @@ def trivial_action(field_gens, ops) -> dict:
 # ---------------------------------------------------------------------------
 # adjoining roots and transcendentals
 # ---------------------------------------------------------------------------
-
-def _as_quotient_elem(aring: PolyRing, x) -> Frac:
-    return Frac.of(x, aring)
-
 
 def _reduce_mod(frac: Frac, ideal: Ideal) -> Frac:
     num = ideal.normal_form(frac.num)

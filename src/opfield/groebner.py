@@ -1,16 +1,20 @@
 """Buchberger Gröbner engine: membership, elimination, minimal polynomials.
 
-Deliberately small: normal-pair criteria only, no F4/F5. Intended for desk
-scale (tens of variables, single-digit degrees). A degree cap, configurable
-through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts runaway
-computations with a clean error.
+Deliberately small: normal-pair criteria only, no F4/F5. Critical pairs wait
+in a heap keyed on the order key of their lcm (ties broken by index), and each
+basis element's leading monomial is computed once, when it is added. Intended
+for desk scale (tens of variables, single-digit degrees). A degree cap,
+configurable through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts
+runaway computations with a clean error.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 
 from .polynomials import GREVLEX, Lex, Poly, PolyRing
+from .scalars import SpecError
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -27,7 +31,10 @@ def _degree_cap() -> int:
     raw = os.environ.get("WORKBENCH_GB_DEGREE_CAP")
     if raw is None:
         return DEFAULT_DEGREE_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecError(f"WORKBENCH_GB_DEGREE_CAP must be an integer, got {raw!r}") from None
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -80,24 +87,32 @@ def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
     for g in basis:
         if all(g != h for h in seen):
             seen.append(g)
-    basis = seen
-    if not basis:
+    if not seen:
         return ()
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    basis = []
+    lms: list[tuple] = []  # lms[k] is the leading monomial of basis[k]
+    # Heap of (order key of lcm(lms[i], lms[j]), i, j) with i > j: the pair
+    # with the smallest lcm pops first, ties by index, so the run is
+    # deterministic whatever the push order.
+    pairs: list = []
     processed: set[tuple[int, int]] = set()
 
-    def pair_key(p):
-        i, j = p
-        l = _lcm(basis[i].lm(order), basis[j].lm(order))
-        return (order.key(l), i, j)
+    def add(g: Poly) -> None:
+        i = len(basis)
+        lm = g.lm(order)
+        basis.append(g)
+        lms.append(lm)
+        for j in range(i):
+            heapq.heappush(pairs, (order.key(_lcm(lm, lms[j])), i, j))
+
+    for g in seen:
+        add(g)
 
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         processed.add((i, j))
-        fi, fj = basis[i], basis[j]
-        li, lj = fi.lm(order), fj.lm(order)
+        li, lj = lms[i], lms[j]
         l = _lcm(li, lj)
         # first criterion: coprime leading monomials
         if all(a + b == c for a, b, c in zip(li, lj, l)):
@@ -107,7 +122,7 @@ def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(basis[k].lm(order), l):
+            if _divides(lms[k], l):
                 pik = (max(i, k), min(i, k))
                 pjk = (max(j, k), min(j, k))
                 if pik in processed and pjk in processed:
@@ -115,15 +130,11 @@ def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
                     break
         if skip:
             continue
-        r = normal_form_list(s_poly(fi, fj, order), basis, order)
+        r = normal_form_list(s_poly(basis[i], basis[j], order), basis, order)
         if r:
             if r.total_degree() > cap:
                 raise DegreeCapExceeded(r.total_degree(), cap)
-            r = r.monic(order)
-            new_index = len(basis)
-            basis.append(r)
-            for k in range(new_index):
-                pairs.add((new_index, k))
+            add(r.monic(order))
     return _reduce_basis(basis, order)
 
 

@@ -38,10 +38,6 @@ def chi(word: Word) -> int:
     return 0 if hs_count(word) >= 2 else 1
 
 
-def chi2(i: Op, j: Op) -> int:
-    return 0 if (is_hs(i) and is_hs(j)) else 1
-
-
 def rho(word: Word) -> Word:
     """Normal reordering: descending sort, or the empty word for chi = 0."""
     if hs_count(word) >= 2:

@@ -540,6 +540,25 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     ring = num.ring
     if not num:
         return ring.zero, ring.one
+    dom = ring.domain
+    zero = (0,) * ring.nvars
+    if isinstance(dom, ScalarDomain) and num.terms.keys() == den.terms.keys() == {zero}:
+        # constant over constant: the pair _normalize_general returns, without
+        # its exact division and content gcds
+        c = num.terms[zero] / den.terms[zero]
+        if dom.char == 0:
+            return (
+                Poly(ring, {zero: Fraction(c.numerator)}),
+                Poly(ring, {zero: Fraction(c.denominator)}),
+            )
+        return Poly(ring, {zero: c}), ring.one
+    return _normalize_general(num, den)
+
+
+def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Cancel what is cheap to find and fix the denominator's scale; num != 0."""
+    ring = num.ring
+    dom = ring.domain
     # cheap cancellations: exact division, then shared univariate gcd
     q = exact_div(num, den)
     if q is not None:
@@ -553,7 +572,6 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 order = lex_order(ring, priority=(i,) + tuple(j for j in range(ring.nvars) if j != i))
                 num, _ = _univar_divmod(num, g, i, order)
                 den, _ = _univar_divmod(den, g, i, order)
-    dom = ring.domain
     if isinstance(dom, ScalarDomain) and dom.char == 0:
         cn, cd = _rat_content(num), _rat_content(den)
         g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))

@@ -91,6 +91,15 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert main(["algebra", "validate", str(missing)]) == 2
 
 
+def test_bad_degree_cap_is_parse_error():
+    argv = ["kernel", "leaders", str(FIXTURES / "kernel_riccati.json")]
+    proc = run_cli_process(argv, WORKBENCH_GB_DEGREE_CAP="abc")
+    assert proc.returncode == 2, proc.stderr
+    assert "PARSE_ERROR" in proc.stderr and "WORKBENCH_GB_DEGREE_CAP" in proc.stderr
+    assert "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_algebra_tensor(tmp_path, capsys):
     out = tmp_path / "tensor.json"
     code = main([

@@ -3,17 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from opfield.groebner import (
     DegreeCapExceeded,
     Ideal,
+    _divides,
     buchberger,
     gb_compute,
     min_poly,
     normal_form_list,
     s_poly,
 )
-from opfield.polynomials import GREVLEX, Poly, PolyRing, ScalarDomain, lex_order
+from opfield.polynomials import GREVLEX, Lex, Poly, PolyRing, ScalarDomain, lex_order
+from opfield.scalars import Fp, SpecError
 
 
 def naive_saturation(gens, order, rounds=6):
@@ -137,6 +140,13 @@ def test_degree_cap(monkeypatch, rxy):
     assert buchberger([x * y - 1, x * x - y])
 
 
+def test_degree_cap_not_an_integer(monkeypatch, rxy):
+    x, y = rxy.var("x"), rxy.var("y")
+    monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "abc")
+    with pytest.raises(SpecError, match="WORKBENCH_GB_DEGREE_CAP.*'abc'"):
+        buchberger([x * y - 1, x * x - y])
+
+
 def test_ideal_equality(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     a = Ideal(rxy, [x - y])
@@ -144,3 +154,85 @@ def test_ideal_equality(rxy):
     assert a == b
     c = Ideal(rxy, [x])
     assert not (a == c)
+
+
+# ---------------------------------------------------------------------------
+# random systems: reduced-basis invariants and the sympy oracle
+# ---------------------------------------------------------------------------
+
+NAMES = ("x", "y", "z")
+# sympy's lex and grevlex with generators (x, y, z) both rank x > y > z
+ORDERS = {"lex": Lex((0, 1, 2)), "grevlex": GREVLEX}
+
+
+@st.composite
+def systems(draw):
+    """A ring over Q or a small prime field and 1-3 nonzero quadrics in it."""
+    ring = PolyRing(NAMES, ScalarDomain(draw(st.sampled_from((0, 2, 7)))))
+    exps = st.tuples(*[st.integers(0, 2)] * len(NAMES)).filter(lambda e: sum(e) <= 2)
+    terms = st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=4)
+    polys = [
+        Poly(ring, {e: ring.domain.coerce(c) for e, c in t.items()})
+        for t in draw(st.lists(terms, min_size=1, max_size=3))
+    ]
+    gens = [p for p in polys if p]
+    assume(gens)
+    return ring, gens
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@settings(max_examples=60, deadline=None)
+@given(system=systems())
+def test_reduced_basis_invariants(order_name, system):
+    ring, gens = system
+    order = ORDERS[order_name]
+    basis = buchberger(gens, order)
+    leads = [g.lm(order) for g in basis]
+    for g in basis:
+        assert g.lc(order) == ring.domain.one
+    for i, a in enumerate(leads):
+        for j, b in enumerate(leads):
+            assert i == j or not _divides(a, b)
+    for g, lm in zip(basis, leads):
+        for e in g.terms:
+            assert e == lm or not any(_divides(a, e) for a in leads)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, p: Poly, gens):
+    char = p.ring.domain.char
+    if char:
+        coeffs = {e: c.v for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *gens, modulus=char).as_expr()
+    coeffs = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *gens, domain="QQ").as_expr()
+
+
+def _from_sympy(g, ring: PolyRing, order) -> Poly:
+    # sympy gives primitive bases over ZZ and symmetric residues mod p
+    char = ring.domain.char
+    terms = {
+        e: Fp(int(c), char) if char else Fraction(int(c.p), int(c.q))
+        for e, c in g.terms()
+    }
+    return Poly(ring, terms).monic(order)
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@settings(max_examples=60, deadline=None)
+@given(system=systems())
+def test_buchberger_matches_sympy(sympy, order_name, system):
+    ring, gens = system
+    order = ORDERS[order_name]
+    symbols = sympy.symbols(NAMES)
+    char = ring.domain.char
+    options = {"modulus": char} if char else {"domain": "QQ"}
+    theirs = sympy.groebner(
+        [_to_sympy(sympy, g, symbols) for g in gens], *symbols, order=order_name, **options
+    )
+    expected = {_from_sympy(g, ring, order) for g in theirs.polys}
+    assert set(buchberger(gens, order)) == expected

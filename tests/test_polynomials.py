@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from opfield.polynomials import (
     GREVLEX,
@@ -11,6 +11,8 @@ from opfield.polynomials import (
     Poly,
     PolyRing,
     ScalarDomain,
+    _normalize,
+    _normalize_general,
     exact_div,
     lex_order,
     parse_frac,
@@ -137,6 +139,45 @@ def test_normalize_idempotent(num_terms, den_terms):
     f = Frac(num, den)
     g = Frac(f.num, f.den)
     assert g.num == f.num and g.den == f.den
+
+
+def _const(ring, n: int, k: int) -> Poly:
+    """The constant n/k of `ring`; n/k must be nonzero in its field."""
+    dom = ring.domain
+    value = dom.coerce(n) / dom.coerce(k) if dom.coerce(k) else dom.coerce(0)
+    assume(value)
+    return ring.const(value)
+
+
+CHARS = st.sampled_from((0, 2, 3, 7))
+NONZERO = st.integers(-20, 20).filter(bool)
+
+
+@given(CHARS, st.integers(0, 2), NONZERO, NONZERO, NONZERO, NONZERO)
+def test_normalize_constant_fast_path_matches_general(char, nvars, a, b, c, d):
+    ring = PolyRing(("x", "y")[:nvars], ScalarDomain(char))
+    num, den = _const(ring, a, b), _const(ring, c, d)
+    fast, general = _normalize(num, den), _normalize_general(num, den)
+    assert fast == general
+    coeff_types = [[type(v) for v in p.terms.values()] for p in (*fast, *general)]
+    assert coeff_types[:2] == coeff_types[2:]
+
+
+@given(CHARS, NONZERO, NONZERO, NONZERO, NONZERO)
+def test_constant_frac_equality_and_hash(char, a, b, c, d):
+    ring = PolyRing((), ScalarDomain(char))
+    num, den = _const(ring, a, 1), _const(ring, b, 1)
+    f = Frac(num, den)
+    # the same value as the general normalisation gives it, bit for bit
+    g = Frac(*_normalize_general(num, den), normalize=False)
+    assert f == g and hash(f) == hash(g)
+    assert (f.num.terms, f.den.terms) == (g.num.terms, g.den.terms)
+    h = Frac(_const(ring, c, 1), _const(ring, d, 1))
+    field = ring.domain
+    same = field.coerce(a) / field.coerce(b) == field.coerce(c) / field.coerce(d)
+    assert (f == h) == same
+    if same:
+        assert hash(f) == hash(h)
 
 
 def test_poly_str_roundtrip(rxy):
