@@ -26,7 +26,7 @@ from .dfields import (
     extend_separable,
 )
 from .free_module import FreeCalculus
-from .groebner import DegreeCapExceeded, Ideal, gb_compute, min_poly
+from .groebner import DegreeCapExceeded, Ideal, min_poly
 from .kernels import (
     Kernel,
     KernelError,
@@ -85,7 +85,6 @@ __all__ = [
     "extend_inseparable_decide",
     "extend_separable",
     "frobenius_assumption",
-    "gb_compute",
     "hs_system",
     "hs_tensor_reduce",
     "isomorphic",

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .commutation import check_all, check_associative, check_jacobi
 from .dfields import GammaFail
-from .free_module import FreeCalculus
 from .groebner import DegreeCapExceeded
 from .indices import normal_words_upto
 from .kernels import KernelError, jet_name, realisation_criterion, realize, specialize_check
@@ -31,6 +30,7 @@ from .specs import (
     load_dfield,
     load_gamma,
     load_kernel,
+    parse_op_key,
 )
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
@@ -104,8 +104,8 @@ def cmd_algebra_tensor(args) -> int:
 
 def cmd_gamma_check(args) -> int:
     report = Report(args.format)
-    gamma = load_gamma(args.file)
-    field = gamma.field
+    field = load_gamma(args.file)
+    gamma = field.gamma
     if args.jacobi:
         verdict = check_jacobi(gamma, field)
     elif args.assoc:
@@ -121,7 +121,7 @@ def cmd_gamma_reduce(args) -> int:
 
     systems = []
     for f in args.files:
-        g = load_gamma(f)
+        g = load_gamma(f).gamma
         if g.m1 != 0 or g.d2 is None:
             raise SpecFileError(f"{f}: reduction needs pure HS systems")
         systems.append((g.d2, g.hs))
@@ -150,9 +150,9 @@ def cmd_dfield_validate(args) -> int:
 def cmd_dfield_apply(args) -> int:
     report = Report(args.format)
     field = load_dfield(args.file)
-    u, i = (int(x) for x in args.op.split(","))
+    op = parse_op_key(args.op)
     expr = parse_frac(field.ring, args.expr)
-    value = field.partial((u, i), expr)
+    value = field.partial(op, expr)
     report.put("op", args.op)
     report.put("expr", args.expr)
     report.put("value", str(value))
@@ -161,8 +161,8 @@ def cmd_dfield_apply(args) -> int:
 
 
 def cmd_free_table(args) -> int:
-    gamma = load_gamma(args.gamma)
-    fc = FreeCalculus(gamma, gamma.field)
+    field = load_gamma(args.gamma)
+    gamma, fc = field.gamma, field.fc
     entries = []
     for word in normal_words_upto(gamma.m1, gamma.m2, args.order):
         windex = "[" + ";".join(f"{u},{i}" for (u, i) in word) + "]"

@@ -52,7 +52,6 @@ class GammaSystem:
         if d2 is not None and d2.field.char != self.fieldspec.char:
             raise SpecError("base field and D2 characteristics differ")
         self.ring = base_ring(self.fieldspec)
-        self.field = None  # back-reference, attached by the carrying operator field
         self.lie = {k: self._coeff(v) for k, v in lie.items() if self._coeff(v)}
         self.hs = {k: self._coeff(v) for k, v in hs.items() if self._coeff(v)}
         if self.hs and self.fieldspec.char == 0:
@@ -207,18 +206,19 @@ def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str, ring: PolyRing) -> V
 # coefficient-identity validators
 # ---------------------------------------------------------------------------
 
-def _partial(gamma: GammaSystem, field, op, value: Frac) -> Frac:
+def coeff_partial(field, op, value: Frac) -> Frac:
+    """d_op of a coefficient in `field`; with no field, the coefficient must be
+    a constant, whose derivative is 0."""
     if field is None:
         if not (value.num.is_const() and value.den.is_const()):
             raise SpecError("non-constant coefficients need an operator field")
-        return gamma.zero()
+        return Frac.of(0, value.ring)
     return field.partial(op, value)
 
 
 def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
     """Skew-symmetry, the corrected Jacobi identity, and the graded-derivative
     vanishing conditions for the Lie-side coefficients."""
-    field = field if field is not None else gamma.field
     m = gamma.m1
     d1 = gamma.d1
 
@@ -226,7 +226,7 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
         return gamma.lie.get((i, j, l), gamma.zero())
 
     def dc(p, i, j, l):
-        return _partial(gamma, field, (1, p), c(i, j, l))
+        return coeff_partial(field, (1, p), c(i, j, l))
 
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -279,7 +279,6 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
 
 def check_associative(gamma: GammaSystem, field=None) -> Verdict:
     """The HS-side coefficient identity (composition closes correctly)."""
-    field = field if field is not None else gamma.field
     if gamma.d2 is None:
         return PASS
     m = gamma.m2
@@ -299,9 +298,9 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
                             for q in range(1, m + 1):
                                 a = d2.alpha(i, p, q)
                                 if a:
-                                    term = term - a * _partial(gamma, field, (2, p), c(j, k, l)) * c(q, l, r)
+                                    term = term - a * coeff_partial(field, (2, p), c(j, k, l)) * c(q, l, r)
                         lhs = lhs + term
-                    rhs = _partial(gamma, field, (2, i), c(j, k, r))
+                    rhs = coeff_partial(field, (2, i), c(j, k, r))
                     if lhs != rhs:
                         return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
     return PASS
@@ -309,14 +308,13 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
 
 def check_cross(gamma: GammaSystem, field=None) -> Verdict:
     """Coefficients of one family must be constants for the other family."""
-    field = field if field is not None else gamma.field
     for (i, j, l), c in gamma.lie.items():
         for k in range(1, gamma.m2 + 1):
-            if _partial(gamma, field, (2, k), c):
+            if coeff_partial(field, (2, k), c):
                 return Verdict(False, "CROSS_DERIVATIVE", (2, k, i, j, l))
     for (i, j, l), c in gamma.hs.items():
         for k in range(1, gamma.m1 + 1):
-            if _partial(gamma, field, (1, k), c):
+            if coeff_partial(field, (1, k), c):
                 return Verdict(False, "CROSS_DERIVATIVE", (1, k, i, j, l))
     return PASS
 

@@ -5,9 +5,10 @@ transcendental adjoints."""
 
 from __future__ import annotations
 
-from .commutation import GammaSystem
+from .commutation import GammaSystem, base_ring
+from .free_module import FreeCalculus
 from .groebner import Ideal
-from .local_algebra import DVector, LocalAlgebra
+from .local_algebra import DVector
 from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
 from .scalars import FieldSpec, SpecError
 
@@ -24,30 +25,22 @@ class NotSeparable(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# generic evaluation of e-homomorphisms
-# ---------------------------------------------------------------------------
+class NonzeroResidual(ValueError):
+    """The grade-by-grade solve left a coordinate of f^e nonzero; the witness
+    is the operator index and that coordinate."""
 
-def ehom_poly(alg: LocalAlgebra, poly: Poly, var_images: dict, coeff_image) -> DVector:
-    """Image of a polynomial under the ring homomorphism determined by
-    `var_images` (variable index -> DVector) and `coeff_image` on scalars."""
-    acc = None
-    for e, c in poly.terms.items():
-        term = coeff_image(c)
-        for i, d in enumerate(e):
-            if d:
-                term = term * var_images[i] ** d
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = coeff_image(poly.ring.domain.coerce(0))
-    return acc
+    def __init__(self, op, coord):
+        self.witness = (op, coord)
+        super().__init__(f"triangular solve left a nonzero residual witness=({op}, {coord})")
 
 
-def ehom_frac(alg: LocalAlgebra, frac: Frac, var_images: dict, coeff_image) -> DVector:
-    image = ehom_poly(alg, frac.num, var_images, coeff_image)
+def ehom_frac(frac: Frac, var_images: dict, coeff_image) -> DVector:
+    """Image of a fraction under the homomorphism sending variable i to
+    var_images[i] and each coefficient c to coeff_image(c)."""
+    image = frac.num.subst(var_images, coeff_image)
     if frac.den == frac.ring.one:
         return image
-    return image * ehom_poly(alg, frac.den, var_images, coeff_image).invert()
+    return image * frac.den.subst(var_images, coeff_image).invert()
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +55,9 @@ class DField:
             raise SpecError("field and commutation system characteristics differ")
         if spec.gens != gamma.fieldspec.gens:
             # the system may have been written over a bare field; re-anchor it
-            if gamma.fieldspec.gens == ():
-                gamma = GammaSystem(
-                    gamma.d1,
-                    gamma.d2,
-                    {k: _relift(v, spec) for k, v in gamma.lie.items()},
-                    {k: _relift(v, spec) for k, v in gamma.hs.items()},
-                    spec,
-                )
-            else:
+            if gamma.fieldspec.gens != ():
                 raise SpecError("field and commutation system generators differ")
+            gamma = _reanchor(gamma, spec)
         self.spec = spec
         self.gamma = gamma
         self.ring = gamma.ring
@@ -88,8 +74,8 @@ class DField:
         for op in action:
             if op not in self.action:
                 raise SpecError(f"action for unknown operator {op}")
-        gamma.field = self
         self._gen_images: dict = {}
+        self.fc = FreeCalculus(gamma, self)
         if check:
             self.validate_gamma()
 
@@ -129,7 +115,19 @@ class DField:
     def e(self, u: int, x) -> DVector:
         """The full operator homomorphism into D_u(K)."""
         x = Frac.of(x, self.ring)
-        return ehom_frac(self.gamma.algebra(u), x, self._images(u), self._coeff_image(u))
+        return ehom_frac(x, self._images(u), self._coeff_image(u))
+
+    def e_into(self, u: int, ring: PolyRing):
+        """e_u with each coordinate read as a constant of `ring`, a polynomial
+        ring over this field."""
+        alg = self.gamma.algebra(u)
+
+        def embed(c):
+            return DVector(
+                alg, tuple(Frac(ring.const(x), ring.one, normalize=False) for x in self.e(u, c).coords)
+            )
+
+        return embed
 
     def partial(self, op, x) -> Frac:
         u, i = op
@@ -166,13 +164,7 @@ class DField:
     def extend_transcendental(self, name: str, values: dict) -> "DField":
         """Adjoin a fresh generator with the declared operator values."""
         new_spec = FieldSpec(self.spec.char, self.spec.gens + (name,))
-        new_gamma = GammaSystem(
-            self.gamma.d1,
-            self.gamma.d2,
-            {k: _relift(v, new_spec) for k, v in self.gamma.lie.items()},
-            {k: _relift(v, new_spec) for k, v in self.gamma.hs.items()},
-            new_spec,
-        )
+        new_gamma = _reanchor(self.gamma, new_spec)
         new_ring = new_gamma.ring
         new_action: dict = {}
         for op in self.ops:
@@ -198,14 +190,12 @@ def _lift_frac(x: Frac, new_ring: PolyRing) -> Frac:
     return Frac(new_ring.lift(x.num), new_ring.lift(x.den))
 
 
-def _relift(x: Frac, new_spec: FieldSpec) -> Frac:
-    from .commutation import base_ring
-
-    return _lift_frac(x, base_ring(new_spec))
-
-
-def trivial_action(field_gens, ops) -> dict:
-    return {op: {g: 0 for g in field_gens} for op in ops}
+def _reanchor(gamma: GammaSystem, spec: FieldSpec) -> GammaSystem:
+    """The same system over `spec`, whose generators extend the system's."""
+    ring = base_ring(spec)
+    lie = {k: _lift_frac(v, ring) for k, v in gamma.lie.items()}
+    hs = {k: _lift_frac(v, ring) for k, v in gamma.hs.items()}
+    return GammaSystem(gamma.d1, gamma.d2, lie, hs, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +208,53 @@ def _reduce_mod(frac: Frac, ideal: Ideal) -> Frac:
     if not den:
         raise ZeroDivisionError("denominator lies in the modulus")
     return Frac(num, den)
+
+
+def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
+                   reduce=lambda y: y, is_zero=None) -> dict:
+    """Operator values {(u, i): y_i} at x, the idx-th variable of f's ring, a
+    root of f (coefficients in `field`) with f'(x) = fprime invertible.
+
+    Coordinate i of f^e(x + sum_k y_k e_k) is fprime * y_i plus terms in the
+    y_k of lower grade, so the y_i are solved in grade order. images[u] maps
+    f's other variables to their D_u images; `reduce` rewrites each value, and
+    `is_zero`, when given, must hold for every coordinate of the final
+    residual, else NonzeroResidual.
+    """
+    ring = f.ring
+    zero = Frac.of(0, ring)
+    out: dict = {}
+    for u in (1, 2):
+        if u == 2 and field.gamma.d2 is None:
+            continue
+        alg = field.gamma.algebra(u)
+        if alg.m == 0:
+            continue
+        embed = field.e_into(u, ring)
+        embedded: dict = {}  # f's coefficients recur in every residual: embed each once
+
+        def coeff(c):
+            if c not in embedded:
+                embedded[c] = embed(c)
+            return embedded[c]
+
+        values = dict(images[u]) if images else {}
+        coords = [Frac(ring.var(idx), ring.one, normalize=False)] + [zero] * alg.m
+
+        def residual() -> DVector:
+            values[idx] = DVector(alg, tuple(coords))
+            return f.subst(values, coeff)
+
+        for i in sorted(range(1, alg.m + 1), key=lambda k: (alg.sigma(k), k)):
+            v0 = residual().coords[i]
+            coords[i] = reduce((-v0) / fprime) if v0 else zero
+        if is_zero is not None:
+            for i, coord in enumerate(residual().coords):
+                if not is_zero(coord):
+                    raise NonzeroResidual((u, i), coord)
+        for i in range(1, alg.m + 1):
+            out[(u, i)] = coords[i]
+    return out
 
 
 def extend_separable(field: DField, name: str, f: Poly) -> dict:
@@ -233,53 +270,15 @@ def extend_separable(field: DField, name: str, f: Poly) -> dict:
     if f.degree_in(0) < 1:
         raise SpecError("minimal polynomial must involve the new name")
     modulus = Ideal(aring, [f])
-    fprime = f.deriv(0)
-    if not modulus.normal_form(fprime):
+    fprime = modulus.normal_form(f.deriv(0))
+    if not fprime:
         raise NotSeparable(f"derivative of {f} vanishes at the root")
-    a = Frac(aring.var(0), aring.one, normalize=False)
-    fprime_val = Frac(modulus.normal_form(fprime), aring.one)
-
-    out: dict = {}
-    for u in (1, 2):
-        if u == 2 and field.gamma.d2 is None:
-            continue
-        alg = field.gamma.algebra(u)
-        if alg.m == 0:
-            continue
-
-        def lift(base_frac: Frac) -> Frac:
-            return Frac(aring.const(base_frac), aring.one)
-
-        def embed_vec(vec: DVector) -> DVector:
-            return DVector(alg, tuple(lift(c) for c in vec.coords))
-
-        # e_u of the coefficients of f, degree by degree
-        coeff_vecs = {}
-        for (d,), c in f.terms.items():
-            coeff_vecs[d] = embed_vec(field.e(u, c))
-
-        zero = Frac.of(0, aring)
-        solved = [a] + [zero] * alg.m
-
-        def residual(partial_coords) -> DVector:
-            b = DVector(alg, tuple(partial_coords))
-            acc = None
-            for d, cvec in coeff_vecs.items():
-                term = cvec if d == 0 else cvec * b**d
-                acc = term if acc is None else acc + term
-            return acc
-
-        for i in sorted(range(1, alg.m + 1), key=lambda k: (alg.sigma(k), k)):
-            v0 = residual(solved).coords[i]
-            y = _reduce_mod((-v0) / fprime_val, modulus) if v0 else zero
-            solved[i] = y
-        # exactness: every coordinate of f^e(e(a)) must vanish in the quotient
-        for coord in residual(solved).coords:
-            if modulus.normal_form(coord.num):
-                raise AssertionError("triangular solve left a nonzero residual")
-        for i in range(1, alg.m + 1):
-            out[(u, i)] = solved[i]
-    return out
+    # exactness: every coordinate of f^e(e(a)) must vanish in the quotient
+    return solve_by_grade(
+        field, f, 0, Frac(fprime, aring.one),
+        reduce=lambda y: _reduce_mod(y, modulus),
+        is_zero=lambda coord: not modulus.normal_form(coord.num),
+    )
 
 
 def extend_inseparable_decide(field: DField, name: str, f: Poly) -> bool:

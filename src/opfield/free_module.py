@@ -9,7 +9,7 @@ coefficient tensors make the action commute correctly; the validators live in
 
 from __future__ import annotations
 
-from .commutation import GammaSystem
+from .commutation import GammaSystem, coeff_partial
 from .indices import Op, Word, chi, is_hs, op_key, rho
 from .polynomials import Frac
 
@@ -18,8 +18,10 @@ FreeVector = dict  # Word -> Frac coefficient
 
 class FreeCalculus:
     def __init__(self, gamma: GammaSystem, field=None):
+        """`field` is the operator field the coefficients live in; None means
+        every coefficient is a constant."""
         self.gamma = gamma
-        self.field = field if field is not None else gamma.field
+        self.field = field
         self.ring = gamma.ring
         self._memo: dict = {}
 
@@ -59,14 +61,6 @@ class FreeCalculus:
     def order(self, a: FreeVector) -> int:
         return max((len(k) for k in a), default=-1)
 
-    # -- coefficient derivatives ---------------------------------------------
-    def _dc(self, op: Op, c: Frac) -> Frac:
-        if self.field is None:
-            if not (c.num.is_const() and c.den.is_const()):
-                raise ValueError("non-constant coefficients need an operator field")
-            return Frac.of(0, self.ring)
-        return self.field.partial(op, c)
-
     # -- the action ------------------------------------------------------------
     def d_word(self, op: Op, word: Word) -> FreeVector:
         key = (op, word)
@@ -103,14 +97,14 @@ class FreeCalculus:
         """One operator step, with the twisted rule on coefficients."""
         out = self.zero()
         for word, c in vec.items():
-            dc = self._dc(op, c)
+            dc = coeff_partial(self.field, op, c)
             if dc:
                 out = self.add(out, {word: dc})
             out = self.add(out, self.scale(c, self.d_word(op, word)))
             for p in self.gamma.ops:
                 if p[0] != op[0]:
                     continue
-                dpc = self._dc(p, c)
+                dpc = coeff_partial(self.field, p, c)
                 if not dpc:
                     continue
                 for q in self.gamma.ops:

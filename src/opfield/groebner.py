@@ -171,10 +171,6 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
     return tuple(minimal)
 
 
-def gb_compute(gens, order=GREVLEX) -> tuple[Poly, ...]:
-    return buchberger(gens, order)
-
-
 class Ideal:
     """Generator list with cached reduced Gröbner bases keyed by order."""
 
@@ -212,13 +208,6 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.ring, self.gens))
-
-
-def elimination_order(ring: PolyRing, keep: set[int]) -> Lex:
-    """Lex order eliminating every variable not in `keep` (those come first)."""
-    big = sorted((i for i in range(ring.nvars) if i not in keep), reverse=True)
-    small = sorted(keep, reverse=True)
-    return Lex(tuple(big + small))
 
 
 def min_poly(v: int, ideal: Ideal, predecessors: set[int]) -> Poly | None:

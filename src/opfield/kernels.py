@@ -15,8 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .commutation import Verdict
-from .dfields import DField, ehom_poly
-from .free_module import FreeCalculus
+from .dfields import DField, ehom_frac, solve_by_grade
 from .groebner import Ideal, Lex, normal_form_list
 from .indices import Word, chi, dickson_minimize, normal_words, op_key, rho, tri_key
 from .local_algebra import DVector, frobenius_assumption
@@ -96,7 +95,7 @@ class Kernel:
         self.gamma = field.gamma
         self.n = n
         self.r = r
-        self.fc = FreeCalculus(self.gamma, field)
+        self.fc = field.fc
         self.jets: list[tuple[Word, int]] = []
         for level in range(r + 1):
             for t in range(1, n + 1):
@@ -178,29 +177,12 @@ class Kernel:
             images[idx] = DVector(alg, tuple(coords))
         return images
 
-    def _coeff_image(self, u: int, target_ring: PolyRing | None = None):
-        ring = target_ring or self.ring
-        alg = self.gamma.algebra(u)
-
-        def embed(c):
-            vec = self.field.e(u, c)
-            return DVector(
-                alg, tuple(Frac(ring.const(x), ring.one, normalize=False) for x in vec.coords)
-            )
-
-        return embed
-
     def e(self, u: int, x: Frac) -> DVector:
         images = self._image_cache.get(u)
         if images is None:
             images = self._images(u)
             self._image_cache[u] = images
-        alg = self.gamma.algebra(u)
-        embed = self._coeff_image(u)
-        num = ehom_poly(alg, x.num, images, embed)
-        if x.den == self.ring.one:
-            return num
-        return num * ehom_poly(alg, x.den, images, embed).invert()
+        return ehom_frac(x, images, self.field.e_into(u, self.ring))
 
     def partial(self, op, x: Frac) -> Frac:
         u, i = op
@@ -314,7 +296,9 @@ class Kernel:
             info = report.info(tau, t)
             per_op: dict = {}
             if info.is_leader:
-                per_op = self._solve_leader(new, images, idx, info)
+                # unique derivative values at a separable leader
+                fprime = Frac(ring.lift(info.witness.deriv(idx)), ring.one)
+                per_op = solve_by_grade(self.field, ring.lift(info.witness), idx, fprime, images)
             else:
                 for op in self.gamma.ops:
                     word = (op,) + tau
@@ -389,33 +373,6 @@ class Kernel:
         out = Kernel(self.field, self.n, s + 1, gens, check=False)
         out.claim_routes_checked = routes_checked
         return out
-
-    def _solve_leader(self, new: "Kernel", images: dict, idx: int, info: LeaderInfo) -> dict:
-        """Unique derivative values at a separable leader, grade by grade."""
-        ring = new.ring
-        f = ring.lift(info.witness)
-        fprime = Frac(ring.lift(info.witness.deriv(idx)), ring.one)
-        per_op: dict = {}
-        for u in (1, 2):
-            if u == 2 and self.gamma.d2 is None:
-                continue
-            alg = self.gamma.algebra(u)
-            if alg.m == 0:
-                continue
-            embed = self._coeff_image(u, target_ring=ring)
-            zero = Frac.of(0, ring)
-            coords = [Frac(ring.var(idx), ring.one, normalize=False)] + [zero] * alg.m
-
-            def residual():
-                var_images = dict(images[u])
-                var_images[idx] = DVector(alg, tuple(coords))
-                return ehom_poly(alg, f, var_images, embed)
-
-            for i in sorted(range(1, alg.m + 1), key=lambda k: (alg.sigma(k), k)):
-                v0 = residual().coords[i]
-                coords[i] = (-v0) / fprime if v0 else zero
-                per_op[(u, i)] = coords[i]
-        return per_op
 
     # -- derived kernels ----------------------------------------------------------
     def truncate(self, k: int) -> "Kernel":
@@ -544,14 +501,7 @@ def specialize_check(kernel: Kernel, values) -> Verdict:
     for idx, (word, t) in enumerate(kernel.jets):
         table[idx] = K.partial_word(word, values[t - 1])
     for g in kernel.ideal.gens:
-        acc = None
-        for e, c in g.terms.items():
-            term = Frac.of(c, K.ring)
-            for i, d in enumerate(e):
-                if d:
-                    term = term * table[i] ** d
-            acc = term if acc is None else acc + term
-        if acc:
+        if g.subst(table):
             return Verdict(False, "POINT_REJECTED", (str(g),))
     return Verdict(True)
 

@@ -156,6 +156,12 @@ def _span_dim(vectors) -> int:
     return len(_row_reduce(vectors))
 
 
+def _spec_int(value, what: str) -> int:
+    if not isinstance(value, int):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def validate(spec: dict) -> LocalAlgebra:
     """Check a raw algebra description and return a LocalAlgebra.
 
@@ -164,11 +170,11 @@ def validate(spec: dict) -> LocalAlgebra:
     """
     char = spec.get("char", 0)
     fs = FieldSpec(char=char)
-    dim = spec["dim"]
+    dim = _spec_int(spec["dim"], "dim")
     if dim < 1:
         raise SpecError("dimension must be at least 1")
     m = dim - 1
-    grades = tuple(spec.get("grades", ()))
+    grades = tuple(_spec_int(g, "grade") for g in spec.get("grades", ()))
     if len(grades) != m:
         raise SpecError(f"expected {m} grades, got {len(grades)}")
     if any(g < 1 for g in grades):
@@ -178,7 +184,7 @@ def validate(spec: dict) -> LocalAlgebra:
 
     raw: dict[tuple[int, int, int], object] = {}
     for entry in spec.get("products", ()):
-        p, q = entry["p"], entry["q"]
+        p, q = (_spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
         if not (1 <= p <= m and 1 <= q <= m):
             raise SpecError(f"product indices ({p},{q}) out of range")
         for i_str, lit in entry.get("coeffs", {}).items():

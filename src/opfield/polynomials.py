@@ -177,9 +177,6 @@ class PolyRing:
         pad = (0,) * (self.nvars - p.ring.nvars)
         return Poly(self, {e + pad: c for e, c in p.terms.items()})
 
-    def from_string(self, text: str) -> "Poly":
-        return parse_poly(self, text)
-
 
 class Poly:
     """Immutable-by-convention sparse polynomial: exponent tuple -> coefficient."""
@@ -334,17 +331,19 @@ class Poly:
             res[ne] = cc if s is None else s + cc
         return Poly(self.ring, res)
 
-    def subst(self, values: dict):
-        """Evaluate with variables mapped to values living in any common ring."""
+    def subst(self, values: dict, coeff=None):
+        """Evaluate with variables mapped to values living in any common ring;
+        `coeff`, when given, first maps each coefficient into that ring."""
         acc = None
         for e, c in self.terms.items():
-            term = c
+            term = c if coeff is None else coeff(c)
             for i, d in enumerate(e):
                 if d:
                     term = term * values[i] ** d
             acc = term if acc is None else acc + term
         if acc is None:
-            return self.ring.domain.coerce(0)
+            zero = self.ring.domain.coerce(0)
+            return zero if coeff is None else coeff(zero)
         return acc
 
     def __str__(self):
@@ -516,17 +515,6 @@ class Frac:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def is_poly(self) -> bool:
-        return self.den.is_const()
-
-    def as_poly(self) -> Poly:
-        if self.den == self.den.ring.one:
-            return self.num
-        d = self.den.const_value()
-        if not self.den.is_const():
-            raise SpecError("fraction with non-constant denominator")
-        return self.num.scale(self.den.ring.domain.one / d)
-
     def __str__(self):
         if self.den == self.ring.one:
             return poly_str(self.num)
@@ -591,11 +579,6 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # canonical text form
 # ---------------------------------------------------------------------------
 
-def _coeff_str(ring: PolyRing, c, lead=False) -> str:
-    s = ring.domain.to_str(c)
-    return s
-
-
 def poly_str(p: Poly, order=None) -> str:
     if not p.terms:
         return "0"
@@ -612,14 +595,14 @@ def poly_str(p: Poly, order=None) -> str:
         mono = "*".join(factors)
         one = p.ring.domain.one
         if not mono:
-            cs = _coeff_str(p.ring, c)
+            cs = p.ring.domain.to_str(c)
         elif c == one:
             cs = mono
         elif not isinstance(c, Fp) and c == -one:
             # prime-field coefficients stay in 0..p-1
             cs = f"-{mono}"
         else:
-            cs = f"{_coeff_str(p.ring, c)}*{mono}"
+            cs = f"{p.ring.domain.to_str(c)}*{mono}"
         parts.append(cs)
     out = parts[0]
     for part in parts[1:]:

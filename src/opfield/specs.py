@@ -82,19 +82,31 @@ def _coeff_entries(data, key) -> list:
     return out
 
 
+def parse_op_key(text: str) -> tuple[int, int]:
+    """An operator index written "u,i"."""
+    parts = text.split(",")
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise SpecError(f"operator key {text!r} is not of the form 'u,i'")
+
+
 def _parse_field_parts(data, base_dir):
     char = data.get("char", 0)
     gens = tuple(data.get("gens", ()))
     spec = FieldSpec(char=char, gens=gens)
+    action = {}
+    for gen, row in data.get("action", {}).items():
+        if gen not in gens:
+            raise SpecFileError(f"action references unknown generator {gen!r}")
+        for opkey, val in row.items():
+            action.setdefault(parse_op_key(opkey), {})[gen] = str(val)
     if "d1" in data:
         d1 = load_algebra(data["d1"], base_dir)
     else:
-        arity = [
-            int(k.split(",")[1])
-            for row in data.get("action", {}).values()
-            for k in row
-            if k.startswith("1,")
-        ]
+        arity = [i for (u, i) in action if u == 1]
         arity += [max(e[:3]) for e in _coeff_entries(data, "lie")]
         if arity:
             d1 = derivation_algebra(max(arity), char=char)
@@ -111,13 +123,6 @@ def _parse_field_parts(data, base_dir):
             for (i, j, l, c) in _coeff_entries(data, key)
         }
 
-    action = {}
-    for gen, row in data.get("action", {}).items():
-        if gen not in gens:
-            raise SpecFileError(f"action references unknown generator {gen!r}")
-        for opkey, val in row.items():
-            u, i = (int(x) for x in opkey.split(","))
-            action.setdefault((u, i), {})[gen] = str(val)
     return spec, d1, d2, coeffs("lie"), coeffs("hs"), action
 
 
@@ -133,7 +138,8 @@ def load_dfield(source, base_dir: Path | None = None, overrides: dict | None = N
         raise SpecFileError(str(e))
 
 
-def load_gamma(source, base_dir: Path | None = None) -> GammaSystem:
+def load_gamma(source, base_dir: Path | None = None) -> DField:
+    """The operator field a gamma spec describes; its system is `.gamma`."""
     data, base_dir = _load_json(source, base_dir)
     field_ref = data.get("field")
     overrides = {k: data[k] for k in ("d1", "d2", "lie", "hs") if k in data}
@@ -143,8 +149,7 @@ def load_gamma(source, base_dir: Path | None = None) -> GammaSystem:
             "gens": data.get("gens", []),
             "action": data.get("action", {}),
         }
-    field = load_dfield(field_ref, base_dir, overrides=overrides)
-    return field.gamma
+    return load_dfield(field_ref, base_dir, overrides=overrides)
 
 
 def dump_dfield(field: DField) -> dict:
@@ -175,7 +180,8 @@ def dump_dfield(field: DField) -> dict:
     return out
 
 
-def dump_gamma(gamma: GammaSystem) -> dict:
+def dump_gamma(gamma: GammaSystem, field: DField | None = None) -> dict:
+    """The system's spec, with the action of `field` when one is given."""
     out = {
         "d1": dump_algebra(gamma.d1),
         "char": gamma.fieldspec.char,
@@ -188,8 +194,8 @@ def dump_gamma(gamma: GammaSystem) -> dict:
             {"i": i, "j": j, "l": l, "c": str(c)}
             for (i, j, l), c in sorted(table.items())
         ]
-    if gamma.field is not None:
-        out["action"] = dump_dfield(gamma.field)["action"]
+    if field is not None:
+        out["action"] = dump_dfield(field)["action"]
     return out
 
 
@@ -202,16 +208,13 @@ def load_kernel(source, base_dir: Path | None = None) -> Kernel:
     for key in ("n", "r"):
         if key not in data:
             raise SpecFileError(f"kernel spec missing field {key!r}")
-    if "gamma" in data and isinstance(data["gamma"], str):
-        gamma = load_gamma(data["gamma"], base_dir)
-        field = gamma.field
-    elif "gamma" in data and isinstance(data["gamma"], dict) and "field" in data["gamma"]:
-        gamma = load_gamma(data["gamma"], base_dir)
-        field = gamma.field
+    gamma_ref = data.get("gamma")
+    if isinstance(gamma_ref, str) or (isinstance(gamma_ref, dict) and "field" in gamma_ref):
+        field = load_gamma(gamma_ref, base_dir)
     else:
         overrides = {}
-        if isinstance(data.get("gamma"), dict):
-            overrides = {k: v for k, v in data["gamma"].items() if k in ("d1", "d2", "lie", "hs")}
+        if isinstance(gamma_ref, dict):
+            overrides = {k: v for k, v in gamma_ref.items() if k in ("d1", "d2", "lie", "hs")}
         if "dfield" not in data:
             raise SpecFileError("kernel spec needs a dfield or a gamma with a field")
         field = load_dfield(data["dfield"], base_dir, overrides=overrides or None)
@@ -237,7 +240,7 @@ def dump_kernel(kernel: Kernel) -> dict:
 LOADERS = {
     "algebra": (load_algebra, dump_algebra),
     "dfield": (load_dfield, dump_dfield),
-    "gamma": (load_gamma, dump_gamma),
+    "gamma": (load_gamma, lambda field: dump_gamma(field.gamma, field)),
     "kernel": (load_kernel, dump_kernel),
 }
 

@@ -100,6 +100,30 @@ def test_bad_degree_cap_is_parse_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        ({"dim": "three"}, ["algebra", "validate"]),
+        (
+            {"char": 0, "dim": 3, "grades": [1, 2], "products": [{"q": 1, "coeffs": {"2": "1"}}]},
+            ["algebra", "validate"],
+        ),
+        ({"char": 0, "gens": ["t"], "action": {"t": {"11": "1"}}}, ["dfield", "validate"]),
+        (None, ["dfield", "apply", "--op", "1", "--expr", "t^2", str(FIXTURES / "dfield_qt.json")]),
+    ],
+    ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1"],
+)
+def test_malformed_input_is_parse_error(spec, argv, tmp_path):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + [str(path)]
+    proc = run_cli_process(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "PARSE_ERROR" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_algebra_tensor(tmp_path, capsys):
     out = tmp_path / "tensor.json"
     code = main([

@@ -3,19 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from opfield.commutation import GammaSystem, base_ring
+from opfield.commutation import GammaSystem, base_ring, check_jacobi
 from opfield.dfields import (
     DField,
     GammaFail,
+    NonzeroResidual,
     NotSeparable,
     extend_inseparable_decide,
     extend_separable,
-    trivial_action,
+    solve_by_grade,
 )
+from opfield.free_module import FreeCalculus
 from opfield.groebner import Ideal
+from opfield.indices import normal_words_upto
 from opfield.local_algebra import derivation_algebra, trivial_algebra, truncation_algebra
 from opfield.polynomials import Frac, parse_frac
 from opfield.scalars import FieldSpec
+from opfield.specs import dump_gamma
 
 
 def qt_field():
@@ -182,6 +186,39 @@ def test_extend_separable_deterministic():
     v1 = extend_separable(K, "a", f)
     v2 = extend_separable(K, "a", f)
     assert v1 == v2
+
+
+def test_solve_by_grade_reports_nonzero_residual():
+    # a wrong separant leaves d(a^2 - t) = 2a*y - 1 at -1/2 in coordinate 1
+    K = qt_field()
+    aring = K.adjunction_ring("a")
+    a = aring.var(0)
+    f = a * a - aring.const(K.gen("t"))
+    modulus = Ideal(aring, [f])
+    with pytest.raises(NonzeroResidual) as e:
+        solve_by_grade(K, f, 0, Frac(4 * a, aring.one),
+                       is_zero=lambda coord: not modulus.normal_form(coord.num))
+    assert e.value.witness == ((1, 1), Frac.of(Fraction(-1, 2), aring))
+
+
+def test_second_field_on_one_system_leaves_the_first_unchanged():
+    # [d1, d2] = t d1 with coefficients in the field: the Jacobi check, the
+    # free table and the dump all read the field's action
+    spec = FieldSpec(char=0, gens=("t",))
+    gamma = GammaSystem(derivation_algebra(2), None, {(1, 2, 1): "t", (2, 1, 1): "-t"}, {}, spec)
+    K1 = DField(spec, gamma, {(1, 1): {"t": 1}, (1, 2): {"t": "t^2/2"}})
+
+    def observed(K):
+        fc = FreeCalculus(K.gamma, K)
+        table = {(op, w): fc.d_word(op, w) for w in normal_words_upto(2, 0, 2) for op in K.ops}
+        return check_jacobi(K.gamma, K), dump_gamma(K.gamma, K), table
+
+    before = observed(K1)
+    K2 = DField(spec, gamma, {(1, 1): {"t": "t"}, (1, 2): {"t": 1}}, check=False)
+    assert K2.fc is not K1.fc and K1.fc.field is K1
+    assert observed(K1) == before
+    other = observed(K2)
+    assert other[1] != before[1] and other[2] != before[2]
 
 
 def test_agreement_on_support():

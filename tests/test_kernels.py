@@ -117,6 +117,13 @@ def test_prolong_riccati_relation():
     k2.validate()  # operators stay closed on the prolonged presentation
 
 
+def test_prolong_and_truncate_share_the_field_calculus():
+    k = generic_two_derivations(r=1)
+    k3 = k.prolong().prolong()
+    assert k3.fc is k.fc is k.field.fc
+    assert k3.truncate(2).fc is k.fc
+
+
 def test_prolong_generic_adds_nothing():
     k = generic_two_derivations(r=1)
     k2 = k.prolong()

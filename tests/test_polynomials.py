@@ -220,3 +220,9 @@ def test_subst(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     p = x * x + y
     assert p.subst({0: rxy.const(2), 1: rxy.const(3)}) == rxy.const(7)
+    # a coefficient map sends 2x^2 - y into Q[t] with coefficients scaled by t
+    rt = PolyRing(("t",))
+    t = rt.var("t")
+    scaled = (2 * x * x - y).subst({0: t, 1: rt.one}, coeff=lambda c: t * c)
+    assert scaled == 2 * t**3 - t
+    assert rxy.zero.subst({}, coeff=lambda c: t * c) == rt.zero

@@ -79,10 +79,9 @@ def test_gamma_file_with_field_reference(tmp_path):
     df.write_text(json.dumps({"char": 0, "gens": ["t"], "action": {"t": {"1,1": "1"}}}))
     gm = tmp_path / "gamma.json"
     gm.write_text(json.dumps({"field": "field.json", "d1": {"char": 0, "dim": 3, "grades": [1, 1], "products": []}}))
-    gamma = load_gamma(gm)
-    assert gamma.m1 == 2
-    assert gamma.field is not None
-    assert gamma.field.spec.gens == ("t",)
+    field = load_gamma(gm)
+    assert field.gamma.m1 == 2
+    assert field.spec.gens == ("t",)
 
 
 def test_kernel_with_separate_refs(tmp_path):
