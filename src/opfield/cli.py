@@ -151,6 +151,8 @@ def cmd_dfield_apply(args) -> int:
     report = Report(args.format)
     field = load_dfield(args.file)
     op = parse_op_key(args.op)
+    if op not in field.ops:
+        raise SpecError(f"operator {args.op!r} is not an operator of the field")
     expr = parse_frac(field.ring, args.expr)
     value = field.partial(op, expr)
     report.put("op", args.op)

@@ -9,9 +9,11 @@ violating index tuple as witness; they never raise on mathematical failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from math import comb
 
-from .local_algebra import LocalAlgebra, ext_alpha, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
+from .local_algebra import LocalAlgebra, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
 from .polynomials import Frac, PolyRing, ScalarDomain, parse_frac
 from .scalars import FieldSpec, SpecError
 
@@ -130,21 +132,16 @@ class GammaSystem:
 # tensor-square scratch arithmetic for the homomorphism check
 # ---------------------------------------------------------------------------
 
-def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict, ring: PolyRing) -> dict:
+def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     out: dict = {}
     for (a, b), ca in A.items():
         for (c, d), cb in B.items():
             coeff = ca * cb
             if not coeff:
                 continue
-            for i in range(alg.m + 1):
-                f1 = ext_alpha(alg, i, a, c)
-                if not f1:
-                    continue
-                for j in range(alg.m + 1):
-                    f2 = ext_alpha(alg, j, b, d)
-                    if not f2:
-                        continue
+            row2 = ext_row(alg, b, d)
+            for i, f1 in ext_row(alg, a, c).items():
+                for j, f2 in row2.items():
                     add = coeff * f1 * f2
                     cur = out.get((i, j))
                     cur = add if cur is None else cur + add
@@ -183,12 +180,9 @@ def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str, ring: PolyRing) -> V
     images = {l: _tensor_image(alg, coeffs, kind, ring, l) for l in range(alg.m + 1)}
     for p in range(1, alg.m + 1):
         for q in range(p, alg.m + 1):
-            lhs = _tensor_mul(alg, images[p], images[q], ring)
+            lhs = _tensor_mul(alg, images[p], images[q])
             rhs: dict = {}
-            for i in range(1, alg.m + 1):
-                a = alg.alpha(i, p, q)
-                if not a:
-                    continue
+            for i, a in ext_row(alg, p, q).items():
                 for key, c in images[i].items():
                     add = c * a
                     cur = rhs.get(key)
@@ -216,64 +210,72 @@ def coeff_partial(field, op, value: Frac) -> Frac:
     return field.partial(op, value)
 
 
+def _memo_partials(field, u: int, c):
+    """d_{(u, p)} c(i, j, l) as a function of (p, i, j, l): computed once for a
+    nonzero coefficient, and zero for a zero one, so the memo grows with the
+    nonzero coefficients rather than with every index tuple visited."""
+    nonzero = cache(lambda p, i, j, l: coeff_partial(field, (u, p), c(i, j, l)))
+    return lambda p, i, j, l: nonzero(p, i, j, l) if c(i, j, l) else c(i, j, l)
+
+
+def _by_pair(coeffs: dict) -> dict:
+    """{(i, j): [(l, c_l^{ij}), ...]} over the nonzero coefficients."""
+    out: dict = {}
+    for (i, j, l), c in sorted(coeffs.items()):
+        out.setdefault((i, j), []).append((l, c))
+    return out
+
+
+def _by_target(alg: LocalAlgebra) -> dict:
+    """{(i, q): [(p, alpha_i^{pq}), ...]} over the nonzero structure constants."""
+    out: dict = {}
+    for (p, q), row in sorted(alg.rows.items()):
+        for i, a in row.items():
+            out.setdefault((i, q), []).append((p, a))
+    return out
+
+
 def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
     """Skew-symmetry, the corrected Jacobi identity, and the graded-derivative
     vanishing conditions for the Lie-side coefficients."""
-    m = gamma.m1
-    d1 = gamma.d1
+    idx = range(1, gamma.m1 + 1)
+    zero = gamma.zero()
 
     def c(i, j, l):
-        return gamma.lie.get((i, j, l), gamma.zero())
+        return gamma.lie.get((i, j, l), zero)
 
-    def dc(p, i, j, l):
-        return coeff_partial(field, (1, p), c(i, j, l))
+    dc = _memo_partials(field, 1, c)
+    by_pair, alpha = _by_pair(gamma.lie), _by_target(gamma.d1)
 
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for l in range(1, m + 1):
-                # skew-symmetry with zero diagonal (the diagonal matters in char 2)
-                if (i == j and c(i, i, l)) or c(i, j, l) + c(j, i, l):
-                    return Verdict(False, "JACOBI_SKEW", (i, j, l))
+    for i, j, l in product(idx, repeat=3):
+        # skew-symmetry with zero diagonal (the diagonal matters in char 2)
+        if (i == j and c(i, i, l)) or c(i, j, l) + c(j, i, l):
+            return Verdict(False, "JACOBI_SKEW", (i, j, l))
 
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for r in range(1, m + 1):
-                    lhs = gamma.zero()
-                    for l in range(1, m + 1):
-                        lhs = lhs + c(i, j, l) * c(l, k, r) + c(k, i, l) * c(l, j, r) + c(j, k, l) * c(l, i, r)
-                    rhs = dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r)
-                    if lhs != rhs:
-                        return Verdict(False, "JACOBI_IDENTITY", (i, j, k, r))
+    for i, j, k, r in product(idx, repeat=4):
+        lhs = zero
+        for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+            for l, cxy in by_pair.get((x, y), ()):
+                lhs = lhs + cxy * c(l, z, r)
+        rhs = dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r)
+        if lhs != rhs:
+            return Verdict(False, "JACOBI_IDENTITY", (i, j, k, r))
 
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for r in range(1, m + 1):
-                    acc = gamma.zero()
-                    for p in range(1, m + 1):
-                        acc = (
-                            acc
-                            + d1.alpha(i, p, r) * dc(p, j, k, r)
-                            + d1.alpha(k, p, r) * dc(p, i, j, r)
-                            + d1.alpha(j, p, r) * dc(p, k, i, r)
-                        )
-                    if acc:
-                        return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, r))
-                    for q in range(1, r):
-                        acc = gamma.zero()
-                        for p in range(1, m + 1):
-                            acc = (
-                                acc
-                                + d1.alpha(i, p, q) * dc(p, j, k, r)
-                                + d1.alpha(k, p, q) * dc(p, i, j, r)
-                                + d1.alpha(j, p, q) * dc(p, k, i, r)
-                                + d1.alpha(i, p, r) * dc(p, j, k, q)
-                                + d1.alpha(k, p, r) * dc(p, i, j, q)
-                                + d1.alpha(j, p, r) * dc(p, k, i, q)
-                            )
-                        if acc:
-                            return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, q, r))
+    def twisted(i, j, k, q, r):
+        """Sum over p and the cyclic shifts (x, y, z) of (i, j, k) of
+        alpha_x^{pq} d_p c_r^{yz}."""
+        acc = zero
+        for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+            for p, a in alpha.get((x, q), ()):
+                acc = acc + a * dc(p, y, z, r)
+        return acc
+
+    for i, j, k, r in product(idx, repeat=4):
+        if twisted(i, j, k, r, r):
+            return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, r))
+        for q in range(1, r):
+            if twisted(i, j, k, q, r) + twisted(i, j, k, r, q):
+                return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, q, r))
     return PASS
 
 
@@ -281,28 +283,26 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
     """The HS-side coefficient identity (composition closes correctly)."""
     if gamma.d2 is None:
         return PASS
-    m = gamma.m2
-    d2 = gamma.d2
+    idx = range(1, gamma.m2 + 1)
+    zero = gamma.zero()
 
     def c(i, j, l):
-        return gamma.hs.get((i, j, l), gamma.zero())
+        return gamma.hs.get((i, j, l), zero)
 
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for r in range(1, m + 1):
-                    lhs = gamma.zero()
-                    for l in range(1, m + 1):
-                        term = c(i, j, l) * c(l, k, r) - c(j, k, l) * c(i, l, r)
-                        for p in range(1, m + 1):
-                            for q in range(1, m + 1):
-                                a = d2.alpha(i, p, q)
-                                if a:
-                                    term = term - a * coeff_partial(field, (2, p), c(j, k, l)) * c(q, l, r)
-                        lhs = lhs + term
-                    rhs = coeff_partial(field, (2, i), c(j, k, r))
-                    if lhs != rhs:
-                        return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
+    dc = _memo_partials(field, 2, c)
+    by_pair, alpha = _by_pair(gamma.hs), _by_target(gamma.d2)
+
+    for i, j, k, r in product(idx, repeat=4):
+        lhs = zero
+        for l, cij in by_pair.get((i, j), ()):
+            lhs = lhs + cij * c(l, k, r)
+        for l, cjk in by_pair.get((j, k), ()):
+            lhs = lhs - cjk * c(i, l, r)
+            for q in idx:
+                for p, a in alpha.get((i, q), ()):
+                    lhs = lhs - a * dc(p, j, k, l) * c(q, l, r)
+        if lhs != dc(i, j, k, r):
+            return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
     return PASS
 
 
@@ -358,19 +358,15 @@ def iterative_hs_coeffs(p: int, n: int) -> GammaSystem:
     return GammaSystem(trivial_algebra(p), alg, {}, hs)
 
 
-def _ext_c(alg: LocalAlgebra, coeffs: dict, ring: PolyRing, l: int, i: int, j: int) -> Frac:
-    """HS coefficient table extended to index 0 rows and columns."""
-    zero, one = Frac.of(0, ring), Frac.of(1, ring)
-    if i == 0 and j == 0:
-        return one if l == 0 else zero
-    if i == 0:
-        return one if l == j else zero
-    if j == 0:
-        return one if l == i else zero
-    if l == 0:
-        return zero
-    c = coeffs.get((i, j, l))
-    return c if c is not None else zero
+def _ext_table(alg: LocalAlgebra, coeffs: dict, ring: PolyRing) -> dict:
+    """The nonzero HS coefficients {(i, j, l): c} extended to index 0 rows and
+    columns."""
+    one = Frac.of(1, ring)
+    out = {(0, 0, 0): one}
+    for p in range(1, alg.m + 1):
+        out[(0, p, p)] = out[(p, 0, p)] = one
+    out.update({(i, j, l): c for (i, j, l), c in coeffs.items() if i and j and l})
+    return out
 
 
 def hs_tensor_reduce(systems) -> tuple[LocalAlgebra, dict]:
@@ -389,17 +385,16 @@ def hs_tensor_reduce(systems) -> tuple[LocalAlgebra, dict]:
 
 def _reduce_pair(a: LocalAlgebra, ca: dict, b: LocalAlgebra, cb: dict, ring: PolyRing):
     combined = tensor(a, b)
-    pairs = tensor_basis_pairs(a, b)
-    index = {ij: k + 1 for k, ij in enumerate(pairs)}
-    index[(0, 0)] = 0
+    index = {ij: k + 1 for k, ij in enumerate(tensor_basis_pairs(a, b))}
+    ext_b = _ext_table(b, cb, ring)
     out: dict = {}
-    for (i1, i2) in pairs:
-        for (j1, j2) in pairs:
-            for (l1, l2) in pairs:
-                c = _ext_c(a, ca, ring, l1, i1, j1) * _ext_c(b, cb, ring, l2, i2, j2)
-                if c:
-                    out[(index[(i1, i2)], index[(j1, j2)], index[(l1, l2)])] = c
-    return combined, out
+    for (i1, j1, l1), c1 in _ext_table(a, ca, ring).items():
+        for (i2, j2, l2), c2 in ext_b.items():
+            # (0, 0) is the unit, not a tensor basis index
+            key = (index.get((i1, i2)), index.get((j1, j2)), index.get((l1, l2)))
+            if None not in key and (c := c1 * c2):
+                out[key] = c
+    return combined, dict(sorted(out.items()))
 
 
 def hs_system(alg: LocalAlgebra, coeffs: dict) -> GammaSystem:

@@ -29,10 +29,13 @@ class NotUnit(ZeroDivisionError):
     """Inversion of an element with zero residue."""
 
 
+_NO_ROW: dict = {}  # the row of a zero product; never written
+
+
 class LocalAlgebra:
     """Validated local algebra; construct through `validate`."""
 
-    __slots__ = ("field", "m", "grades", "table", "d", "_lookup")
+    __slots__ = ("field", "m", "grades", "table", "d", "rows")
 
     def __init__(self, field: FieldSpec, m: int, grades, table, d: int):
         self.field = field
@@ -40,7 +43,12 @@ class LocalAlgebra:
         self.grades = tuple(grades)
         self.table = tuple(table)  # ((p, q, i, coeff) ...) sparse, p <= q
         self.d = d
-        self._lookup = {(p, q, i): c for (p, q, i, c) in self.table}
+        # e_p * e_q as {i: coeff}, nonzero entries only, under (p, q) and (q, p)
+        self.rows: dict[tuple[int, int], dict] = {}
+        for (p, q, i, c) in self.table:
+            row = self.rows.setdefault((p, q), {})
+            row[i] = c
+            self.rows[(q, p)] = row
 
     def __eq__(self, other):
         if not isinstance(other, LocalAlgebra):
@@ -57,9 +65,7 @@ class LocalAlgebra:
 
     def alpha(self, i: int, p: int, q: int):
         """Coefficient of e_i in e_p * e_q for 1 <= p,q <= m, 0 <= i <= m."""
-        if p > q:
-            p, q = q, p
-        return self._lookup.get((p, q, i), self.field.zero)
+        return self.rows.get((p, q), _NO_ROW).get(i, self.field.zero)
 
     @property
     def dim(self) -> int:
@@ -69,23 +75,6 @@ class LocalAlgebra:
         if p == 0:
             return 0
         return self.grades[p - 1]
-
-    def basis_product(self, p: int, q: int) -> list:
-        """Coordinates (length m+1) of e_p * e_q, any 0 <= p,q <= m."""
-        zero, one = self.field.zero, self.field.one
-        out = [zero] * (self.m + 1)
-        if p == 0 and q == 0:
-            out[0] = one
-        elif p == 0:
-            out[q] = one
-        elif q == 0:
-            out[p] = one
-        else:
-            for i in range(self.m + 1):
-                c = self.alpha(i, p, q)
-                if c:
-                    out[i] = c
-        return out
 
     def unit(self, one=None, zero=None) -> "DVector":
         one = self.field.one if one is None else one
@@ -162,19 +151,26 @@ def _spec_int(value, what: str) -> int:
     return value
 
 
+def _spec_json(value, kind: str, what: str):
+    """`value` if it is a JSON `kind` ("list" or "object"), else SpecError."""
+    if not isinstance(value, {"list": (list, tuple), "object": dict}[kind]):
+        raise SpecError(f"{what} must be a {kind}, got {value!r}")
+    return value
+
+
 def validate(spec: dict) -> LocalAlgebra:
     """Check a raw algebra description and return a LocalAlgebra.
 
     Raises AlgebraError with codes NOT_LOCAL / COMM_FAIL / ASSOC_FAIL /
     RANK_FAIL, or SpecError for shape problems.
     """
-    char = spec.get("char", 0)
-    fs = FieldSpec(char=char)
+    fs = FieldSpec(char=_spec_int(spec.get("char", 0), "char"))
     dim = _spec_int(spec["dim"], "dim")
     if dim < 1:
         raise SpecError("dimension must be at least 1")
     m = dim - 1
-    grades = tuple(_spec_int(g, "grade") for g in spec.get("grades", ()))
+    grades = _spec_json(spec.get("grades", ()), "list", "grades")
+    grades = tuple(_spec_int(g, "grade") for g in grades)
     if len(grades) != m:
         raise SpecError(f"expected {m} grades, got {len(grades)}")
     if any(g < 1 for g in grades):
@@ -183,12 +179,16 @@ def validate(spec: dict) -> LocalAlgebra:
         raise SpecError("grades must be non-decreasing")
 
     raw: dict[tuple[int, int, int], object] = {}
-    for entry in spec.get("products", ()):
+    for entry in _spec_json(spec.get("products", ()), "list", "products"):
+        entry = _spec_json(entry, "object", "product entry")
         p, q = (_spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
         if not (1 <= p <= m and 1 <= q <= m):
             raise SpecError(f"product indices ({p},{q}) out of range")
-        for i_str, lit in entry.get("coeffs", {}).items():
-            i = int(i_str)
+        for i_str, lit in _spec_json(entry.get("coeffs", {}), "object", "coeffs").items():
+            try:
+                i = int(i_str)
+            except (TypeError, ValueError):
+                raise SpecError(f"coefficient key must be an integer, got {i_str!r}") from None
             if not (0 <= i <= m):
                 raise SpecError(f"target index {i} out of range")
             c = fs.scalar(lit)
@@ -210,18 +210,19 @@ def validate(spec: dict) -> LocalAlgebra:
     )
 
     # span of e_1..e_m must be an ideal: no unit component in products
-    for p in range(1, m + 1):
-        for q in range(p, m + 1):
-            if alg.alpha(0, p, q):
-                raise AlgebraError("NOT_LOCAL", witness=(p, q), detail="product has a unit component")
+    # (the table is sorted by (p, q, i), so the first hit is the first (p, q))
+    for (p, q, i, _) in alg.table:
+        if i == 0:
+            raise AlgebraError("NOT_LOCAL", witness=(p, q), detail="product has a unit component")
 
-    # associativity over all basis triples
+    # associativity over all basis triples: (e_p e_q) e_r == e_p (e_q e_r)
+    rows = alg.rows
     for p in range(1, m + 1):
         for q in range(1, m + 1):
+            pq = rows.get((p, q), _NO_ROW)
             for r in range(1, m + 1):
-                left = _mul_coords(alg, alg.basis_product(p, q), _basis_vec(alg, r))
-                right = _mul_coords(alg, _basis_vec(alg, p), alg.basis_product(q, r))
-                if left != right:
+                qr = rows.get((q, r), _NO_ROW)
+                if (pq or qr) and _times_basis(alg, pq, r) != _times_basis(alg, qr, p):
                     raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
 
     # nilpotency of the maximal-ideal span, computed from the table alone
@@ -229,12 +230,10 @@ def validate(spec: dict) -> LocalAlgebra:
     if filtration[-1]:
         raise AlgebraError("NOT_LOCAL", detail=f"span of e_1..e_{m} is not nilpotent")
 
-    # ranked-basis vanishing condition
-    for p in range(1, m + 1):
-        for q in range(p, m + 1):
-            for i in range(1, m + 1):
-                if alg.alpha(i, p, q) and alg.sigma(p) + alg.sigma(q) > alg.sigma(i):
-                    raise AlgebraError("RANK_FAIL", witness=(i, p, q))
+    # ranked-basis vanishing condition, first violation in (p, q, i) order
+    for (p, q, i, _) in alg.table:
+        if alg.sigma(p) + alg.sigma(q) > alg.sigma(i):
+            raise AlgebraError("RANK_FAIL", witness=(i, p, q))
 
     d_actual = 0
     for j in range(1, m + 2):
@@ -269,45 +268,52 @@ def _basis_vec(alg: LocalAlgebra, p: int) -> list:
 
 
 def _mul_coords(alg: LocalAlgebra, a: list, b: list) -> list:
-    """Product of coordinate vectors with entries supporting + and *."""
-    m = alg.m
-    out = [a[0] * b[0]]
-    for i in range(1, m + 1):
-        acc = a[0] * b[i] + a[i] * b[0]
-        for p in range(1, m + 1):
-            if not a[p]:
-                continue
-            for q in range(1, m + 1):
-                if not b[q]:
-                    continue
-                c = alg.alpha(i, p, q)
-                if c:
-                    acc = acc + c * (a[p] * b[q])
-        out.append(acc)
+    """Product of coordinate vectors with entries supporting + and *.
+
+    Each coordinate i sums its terms alpha_i^{pq} a_p b_q in (p, q) order."""
+    a0, b0 = a[0], b[0]
+    out = [a0 * b0] + [a0 * bi + ai * b0 for ai, bi in zip(a[1:], b[1:])]
+    nonzero_b = [(q, bq) for q, bq in enumerate(b) if q and bq]
+    for p in range(1, alg.m + 1):
+        ap = a[p]
+        if not ap:
+            continue
+        for q, bq in nonzero_b:
+            row = alg.rows.get((p, q))
+            if row:
+                prod = ap * bq
+                for i, c in row.items():
+                    out[i] = out[i] + c * prod
     return out
+
+
+def _times_basis(alg: LocalAlgebra, vec: dict, r: int) -> dict:
+    """(sum_i vec[i] e_i) * e_r for i, r >= 1, as sparse coordinates {j: c}."""
+    out: dict = {}
+    for i, c in vec.items():
+        for j, a in alg.rows.get((i, r), _NO_ROW).items():
+            out[j] = out.get(j, alg.field.zero) + c * a
+    return {j: c for j, c in out.items() if c}
 
 
 def _ideal_filtration(alg: LocalAlgebra):
     """Powers of span(e_1..e_m) as row-reduced coordinate lists (coords 1..m)."""
-    fs = alg.field
-    current = [
-        [fs.one if i == p else fs.zero for i in range(1, alg.m + 1)]
-        for p in range(1, alg.m + 1)
-    ]
+    fs, m = alg.field, alg.m
+    current = [[fs.one if i == p else fs.zero for i in range(1, m + 1)] for p in range(1, m + 1)]
     powers = [current]
-    for _ in range(alg.m):
+    for _ in range(m):
         nxt = []
         for vec in powers[-1]:
-            full = [fs.zero] + list(vec)
-            for q in range(1, alg.m + 1):
-                prod = _mul_coords(alg, full, _basis_vec(alg, q))
-                if any(prod[1:]):
-                    nxt.append(prod[1:])
+            sparse = {p: c for p, c in enumerate(vec, start=1) if c}
+            for q in range(1, m + 1):
+                prod = _times_basis(alg, sparse, q)
+                if prod:
+                    nxt.append([prod.get(i, fs.zero) for i in range(1, m + 1)])
         reduced = _row_reduce(nxt)
         powers.append(reduced)
         if not reduced:
             break
-    while len(powers) < alg.m + 1:
+    while len(powers) < m + 1:
         powers.append([])
     return powers
 
@@ -393,15 +399,7 @@ class DVector:
 
 def null_set(alg: LocalAlgebra) -> set[int]:
     """Indices q >= 1 with e_q * m = 0."""
-    return {
-        q
-        for q in range(1, alg.m + 1)
-        if all(
-            not alg.alpha(i, p, q)
-            for i in range(alg.m + 1)
-            for p in range(1, alg.m + 1)
-        )
-    }
+    return set(range(1, alg.m + 1)) - {q for (_, q) in alg.rows}
 
 
 def support(alg: LocalAlgebra, i: int) -> set[int]:
@@ -410,11 +408,7 @@ def support(alg: LocalAlgebra, i: int) -> set[int]:
         raise SpecError(f"index {i} out of range")
 
     def one_step(j):
-        return {
-            q
-            for q in range(1, alg.m + 1)
-            if any(alg.alpha(j, p, q) for p in range(1, alg.m + 1))
-        }
+        return {q for (_, q), row in alg.rows.items() if j in row}
 
     level = one_step(i)
     out = set(level)
@@ -454,18 +448,16 @@ def tensor_basis_pairs(a: LocalAlgebra, b: LocalAlgebra) -> list[tuple[int, int]
     return pairs
 
 
+def ext_row(alg: LocalAlgebra, p: int, q: int) -> dict:
+    """Nonzero coordinates {i: c} of e_p * e_q for any 0 <= p,q <= m (e_0 = 1)."""
+    if p == 0 or q == 0:
+        return {p + q: alg.field.one}
+    return alg.rows.get((p, q), _NO_ROW)
+
+
 def ext_alpha(alg: LocalAlgebra, i: int, p: int, q: int):
     """Structure constants extended to the unit row/column (index 0)."""
-    fs = alg.field
-    if p == 0 and q == 0:
-        return fs.one if i == 0 else fs.zero
-    if p == 0:
-        return fs.one if i == q else fs.zero
-    if q == 0:
-        return fs.one if i == p else fs.zero
-    if i == 0:
-        return fs.zero
-    return alg.alpha(i, p, q)
+    return ext_row(alg, p, q).get(i, alg.field.zero)
 
 
 def tensor(a: LocalAlgebra, b: LocalAlgebra) -> LocalAlgebra:
@@ -482,15 +474,10 @@ def tensor(a: LocalAlgebra, b: LocalAlgebra) -> LocalAlgebra:
         for (q1, q2) in pairs:
             if index[(p1, p2)] > index[(q1, q2)]:
                 continue
+            row2 = ext_row(b, p2, q2)
             coeffs = {}
-            for i1 in range(a.m + 1):
-                c1 = ext_alpha(a, i1, p1, q1)
-                if not c1:
-                    continue
-                for i2 in range(b.m + 1):
-                    c2 = ext_alpha(b, i2, p2, q2)
-                    if not c2:
-                        continue
+            for i1, c1 in ext_row(a, p1, q1).items():
+                for i2, c2 in row2.items():
                     c = c1 * c2
                     if c and (i1, i2) != (0, 0):
                         coeffs[str(index[(i1, i2)])] = scalar_str(c)

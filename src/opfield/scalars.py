@@ -145,7 +145,11 @@ class FieldSpec:
         if isinstance(x, int):
             return Fraction(x) if self.char == 0 else Fp(x, self.char)
         if isinstance(x, str):
-            return self.scalar(Fraction(x))
+            try:
+                value = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"{x!r} is not a scalar") from None
+            return self.scalar(value)
         raise SpecError(f"cannot coerce {x!r} to a scalar")
 
     @property

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opfield
 from opfield.cli import main
@@ -110,8 +113,15 @@ def test_bad_degree_cap_is_parse_error():
         ),
         ({"char": 0, "gens": ["t"], "action": {"t": {"11": "1"}}}, ["dfield", "validate"]),
         (None, ["dfield", "apply", "--op", "1", "--expr", "t^2", str(FIXTURES / "dfield_qt.json")]),
+        (None, ["dfield", "apply", "--op", "1,5", "--expr", "t", str(FIXTURES / "dfield_qt.json")]),
+        (
+            {"char": 0, "dim": 3, "grades": [1, 2], "products": [{"p": 1, "q": 1, "coeffs": {"x": 1}}]},
+            ["algebra", "validate"],
+        ),
+        ({"char": "two", "dim": 2, "grades": [1]}, ["algebra", "validate"]),
     ],
-    ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1"],
+    ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
+         "coeff_key_not_int", "char_not_int"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
@@ -267,3 +277,62 @@ def test_reports_byte_identical_across_processes():
         assert proc.returncode == 0, proc.stderr
     outs = [proc.stdout for proc in procs]
     assert outs[0] == outs[1] and outs[0]
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def mutated_algebra_specs(draw):
+    """An algebra fixture with one key dropped, one field of the wrong type or
+    one index out of range (for a coefficient value: an integer)."""
+    path = draw(st.sampled_from(sorted(FIXTURES.glob("algebra_*.json"))))
+    spec = json.loads(path.read_text())
+    products = spec["products"]
+    entry = draw(st.sampled_from(products)) if products else None
+    how = draw(st.sampled_from(("drop", "wrong_type", "out_of_range")))
+    if how == "drop":
+        target = entry if entry is not None and draw(st.booleans()) else spec
+        target.pop(draw(st.sampled_from(sorted(target))))
+        return spec
+    field = draw(st.sampled_from(("dim", "char", "grades", "p", "q", "coeff_key", "coeff_value")))
+    if field in ("p", "q", "coeff_key", "coeff_value") and entry is None:
+        field = "dim"
+    if how == "wrong_type":
+        value = draw(WRONG_TYPES)
+    else:
+        value = draw(st.one_of(st.integers(-3, 0), st.integers(spec["dim"], spec["dim"] + 3), st.just(10**6)))
+    if field in ("dim", "char"):
+        spec[field] = value
+    elif field == "grades":
+        if spec["grades"] and draw(st.booleans()):
+            spec["grades"][draw(st.integers(0, len(spec["grades"]) - 1))] = value
+        else:
+            spec["grades"] = value
+    elif field == "coeff_key":
+        old = draw(st.sampled_from(sorted(entry["coeffs"])))
+        entry["coeffs"][str(value)] = entry["coeffs"].pop(old)
+    elif field == "coeff_value":
+        entry["coeffs"][draw(st.sampled_from(sorted(entry["coeffs"])))] = value
+    else:
+        entry[field] = value
+    return spec
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=mutated_algebra_specs())
+def test_algebra_validate_fuzzed_fixtures_exit_cleanly(fuzz_dir, spec):
+    path = fuzz_dir / "spec.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["algebra", "validate", str(path)])
+    assert code in (0, 1, 2), err.getvalue()

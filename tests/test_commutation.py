@@ -1,28 +1,37 @@
+import functools
 import itertools
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opfield.commutation import (
     GammaSystem,
+    Verdict,
     base_ring,
     check_all,
     check_associative,
     check_cross,
     check_jacobi,
     check_jacobi_associative,
+    coeff_partial,
     hom_verdict,
     hs_system,
     hs_tensor_reduce,
     iterative_hs_coeffs,
 )
+from opfield.dfields import DField
 from opfield.local_algebra import (
     derivation_algebra,
+    tensor,
     tensor_basis_pairs,
     trivial_algebra,
     truncation_algebra,
+    validate,
 )
 from opfield.scalars import FieldSpec, SpecError
+from opfield.specs import load_gamma
 
 
 def sl2_system():
@@ -231,3 +240,166 @@ def test_hs_tensor_reduce_three_factors():
     combined = hs_system(alg, coeffs)
     assert combined.check_hom(2)
     assert check_associative(combined)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: sparse identity checkers against dense loops over alpha
+# ---------------------------------------------------------------------------
+
+def dense_jacobi(gamma, field=None):
+    """`check_jacobi` from the definitions, summing over every index."""
+    idx = range(1, gamma.m1 + 1)
+    alpha = gamma.d1.alpha
+
+    def c(i, j, l):
+        return gamma.lie.get((i, j, l), gamma.zero())
+
+    @functools.cache  # a pure function of its indices; errors are not cached
+    def dc(p, i, j, l):
+        return coeff_partial(field, (1, p), c(i, j, l))
+
+    for i, j, l in itertools.product(idx, repeat=3):
+        if (i == j and c(i, i, l)) or c(i, j, l) + c(j, i, l):
+            return Verdict(False, "JACOBI_SKEW", (i, j, l))
+    for i, j, k, r in itertools.product(idx, repeat=4):
+        lhs = sum((c(x, y, l) * c(l, z, r) for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
+                   for l in idx if c(x, y, l)), gamma.zero())
+        if lhs != dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r):
+            return Verdict(False, "JACOBI_IDENTITY", (i, j, k, r))
+    for i, j, k, r in itertools.product(idx, repeat=4):
+        def s(q, r):
+            return sum((alpha(x, p, q) * dc(p, y, z, r) for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
+                        for p in idx if alpha(x, p, q)), gamma.zero())
+        if s(r, r):
+            return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, r))
+        for q in range(1, r):
+            if s(q, r) + s(r, q):
+                return Verdict(False, "JACOBI_DERIVATIVE", (i, j, k, q, r))
+    return Verdict(True)
+
+
+def dense_associative(gamma, field=None):
+    """`check_associative` from the definitions, summing over every index."""
+    idx = range(1, gamma.m2 + 1)
+    alpha = gamma.d2.alpha
+
+    def c(i, j, l):
+        return gamma.hs.get((i, j, l), gamma.zero())
+
+    @functools.cache  # a pure function of its indices; errors are not cached
+    def dc(p, i, j, l):
+        return coeff_partial(field, (2, p), c(i, j, l))
+
+    for i, j, k, r in itertools.product(idx, repeat=4):
+        lhs = gamma.zero()
+        for l in idx:
+            lhs = lhs + c(i, j, l) * c(l, k, r) - c(j, k, l) * c(i, l, r)
+            for p, q in itertools.product(idx, repeat=2):
+                a = alpha(i, p, q)
+                if a:
+                    lhs = lhs - a * dc(p, j, k, l) * c(q, l, r)
+        if lhs != dc(i, j, k, r):
+            return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
+    return Verdict(True)
+
+
+def _verdict_or_error(check, gamma, field):
+    try:
+        return check(gamma, field)
+    except SpecError as e:
+        return ("SpecError", str(e))
+
+
+COEFFS_T = ("0", "1", "-1", "t", "-t", "t^2", "2*t + 1")
+
+
+@st.composite
+def perturbed(draw, table: dict, m: int, values, skew: bool):
+    """`table` with at most one entry (i, j, l) set to a drawn value; with
+    `skew`, the (j, i, l) entry is set to its negative alongside."""
+    table = dict(table)
+    how = draw(st.sampled_from(("none", "one", "skew") if skew else ("none", "one")))
+    if how != "none":
+        i, j, l = (draw(st.integers(1, m)) for _ in range(3))
+        v = draw(st.sampled_from(values))
+        table[(i, j, l)] = v
+        if how == "skew":
+            table[(j, i, l)] = f"-({v})"
+    return table
+
+
+@st.composite
+def lie_systems(draw):
+    """Rescaled sl2 over Q or F_3 with constant coefficients, or a Lie system
+    over Q(t) on k[e1, e2, e3]/(e1 e2, e1 e3, e2^2, ...) with e1^2 = a e3,
+    whose coefficients and derivative action are drawn; then at most one
+    coefficient perturbed. Returns (gamma, field)."""
+    if draw(st.booleans()):
+        char = draw(st.sampled_from((0, 3)))
+        s1, s2, s3 = (Fraction(draw(st.sampled_from((1, 2, -1, -2)))) for _ in range(3))
+        lie = {(1, 2, 3): s1 * s2 / s3, (3, 1, 1): 2 * s3, (3, 2, 2): -2 * s3}
+        lie.update({(j, i, l): -v for (i, j, l), v in list(lie.items())})
+        lie = {k: str(v) for k, v in lie.items()}
+        lie = draw(perturbed(lie, 3, ("0", "1", "-1", "2"), skew=True))
+        return GammaSystem(derivation_algebra(3, char), None, lie, {}), None
+    spec = FieldSpec(char=0, gens=("t",))
+    a = draw(st.sampled_from(("1", "2", "-1")))
+    d1 = validate({"char": 0, "dim": 4, "grades": [1, 1, 2],
+                   "products": [{"p": 1, "q": 1, "coeffs": {"3": a}}]})
+    lie = {}
+    for l in range(1, 4):
+        v = draw(st.sampled_from(COEFFS_T))
+        lie[(2, 3, l)], lie[(3, 2, l)] = v, f"-({v})"
+    # entries stay in the null {2, 3} of D1, which GammaSystem requires
+    table = draw(perturbed(lie, 3, COEFFS_T, skew=True))
+    table = {k: v for k, v in table.items() if k[0] > 1 and k[1] > 1}
+    gamma = GammaSystem(d1, None, table, {}, spec)
+    action = {(1, p): {"t": draw(st.sampled_from(("0", "1", "t", "t^2")))} for p in range(1, 4)}
+    return gamma, DField(spec, gamma, action, check=False)
+
+
+@st.composite
+def hs_systems(draw):
+    """An iterative HS system on F_p[e]/(e^(p^n)), over F_p or F_p(t) with a
+    drawn action of the HS operators, with at most one coefficient perturbed.
+    Returns (gamma, field)."""
+    p, n = draw(st.sampled_from(((2, 1), (2, 2), (3, 1))))
+    base = iterative_hs_coeffs(p, n)
+    hs = {k: str(v) for k, v in base.hs.items()}
+    if draw(st.booleans()):
+        hs = draw(perturbed(hs, base.m2, ("0", "1", "2"), skew=False))
+        return GammaSystem(trivial_algebra(p), base.d2, {}, hs), None
+    spec = FieldSpec(char=p, gens=("t",))
+    hs = draw(perturbed(hs, base.m2, ("0", "1", "t", "t + 1"), skew=False))
+    gamma = GammaSystem(trivial_algebra(p), base.d2, {}, hs, spec)
+    action = {(2, i): {"t": draw(st.sampled_from(("0", "1", "t")))} for i in range(1, base.m2 + 1)}
+    return gamma, DField(spec, gamma, action, check=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=lie_systems())
+def test_check_jacobi_matches_dense_reference(system):
+    gamma, field = system
+    assert _verdict_or_error(check_jacobi, gamma, field) == _verdict_or_error(dense_jacobi, gamma, field)
+    # without a field, a non-constant coefficient is a SpecError on both sides
+    assert _verdict_or_error(check_jacobi, gamma, None) == _verdict_or_error(dense_jacobi, gamma, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=hs_systems())
+def test_check_associative_matches_dense_reference(system):
+    gamma, field = system
+    assert (_verdict_or_error(check_associative, gamma, field)
+            == _verdict_or_error(dense_associative, gamma, field))
+    assert (_verdict_or_error(check_associative, gamma, None)
+            == _verdict_or_error(dense_associative, gamma, None))
+
+
+def test_hs_tensor_reduce_three_iterative_2_2():
+    # `gamma reduce` of three copies of the fixture: D = A (x) A (x) A, m = 63
+    g = load_gamma(files("opfield") / "fixtures" / "gamma_iterative_2_2.json").gamma
+    alg, coeffs = hs_tensor_reduce([(g.d2, g.hs)] * 3)
+    assert alg.dim == 64
+    assert alg == tensor(tensor(g.d2, g.d2), g.d2)
+    assert len(coeffs) == 602
+    assert list(coeffs) == sorted(coeffs)

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opfield.local_algebra import (
     AlgebraError,
     DVector,
+    LocalAlgebra,
     NotUnit,
     derivation_algebra,
     frobenius_assumption,
@@ -17,7 +19,8 @@ from opfield.local_algebra import (
     truncation_algebra,
     validate,
 )
-from opfield.scalars import Fp, SpecError
+from opfield.scalars import FieldSpec, Fp, SpecError
+from opfield.specs import dump_algebra
 
 
 def dual_numbers(char=0):
@@ -186,3 +189,207 @@ def test_tensor_validates_bigger():
 def test_coordinate_arity_checked():
     with pytest.raises(SpecError):
         DVector(dual_numbers(), (Fraction(1),))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the sparse product table against dense loops over alpha
+# ---------------------------------------------------------------------------
+
+def _rank_basis(vectors):
+    """A basis of the span of `vectors` (all of one length), by elimination."""
+    basis = []  # (pivot column, row with a 1 there)
+    for v in vectors:
+        v = list(v)
+        for col, row in basis:
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, row)]
+        col = next((k for k, x in enumerate(v) if x), None)
+        if col is not None:
+            basis.append((col, [x / v[col] for x in v]))
+    return [row for _, row in basis]
+
+
+def dense_validate(spec):
+    """`validate` from the definitions, with a dense loop over every (i, p, q)."""
+    fs = FieldSpec(char=spec["char"])
+    m = spec["dim"] - 1
+    grades = spec["grades"]
+    raw = {}
+    for entry in spec["products"]:
+        for i, c in entry["coeffs"].items():
+            raw[(entry["p"], entry["q"], int(i))] = fs.scalar(c)
+    for (p, q, i), c in raw.items():
+        if raw.get((q, p, i), c) != c:
+            raise AlgebraError("COMM_FAIL", witness=(i, p, q))
+    idx = range(1, m + 1)
+    alpha = {
+        (i, p, q): raw.get((p, q, i), raw.get((q, p, i), fs.zero))
+        for i in range(m + 1) for p in idx for q in idx
+    }
+
+    def sigma(p):
+        return grades[p - 1] if p else 0
+
+    for p in idx:
+        for q in range(p, m + 1):
+            if alpha[0, p, q]:
+                raise AlgebraError("NOT_LOCAL", witness=(p, q))
+    for p in idx:
+        for q in idx:
+            for r in idx:
+                for j in idx:
+                    left = sum((alpha[i, p, q] * alpha[j, i, r] for i in idx if alpha[i, p, q]), fs.zero)
+                    right = sum((alpha[i, q, r] * alpha[j, p, i] for i in idx if alpha[i, q, r]), fs.zero)
+                    if left != right:
+                        raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
+
+    def unit_vec(p):
+        return [fs.one if k == p else fs.zero for k in idx]
+
+    # powers of the maximal ideal: powers[j - 1] spans m^j
+    powers = [_rank_basis(unit_vec(p) for p in idx)]
+    while len(powers) < m + 1:
+        products = [
+            [sum((v[p - 1] * alpha[i, p, q] for p in idx), fs.zero) for i in idx]
+            for v in powers[-1]
+            for q in idx
+        ]
+        powers.append(_rank_basis(products))
+    if powers[m]:
+        raise AlgebraError("NOT_LOCAL")
+    for p in idx:
+        for q in range(p, m + 1):
+            for i in idx:
+                if alpha[i, p, q] and sigma(p) + sigma(q) > sigma(i):
+                    raise AlgebraError("RANK_FAIL", witness=(i, p, q))
+    d = max((j for j in range(1, m + 1) if powers[j - 1]), default=0)
+    for j in range(1, d + 2):
+        declared = [unit_vec(p) for p in idx if sigma(p) >= j]
+        actual = powers[j - 1] if j <= m else []
+        if not (len(_rank_basis(declared)) == len(_rank_basis(actual))
+                == len(_rank_basis(declared + actual))):
+            raise AlgebraError("RANK_FAIL", witness=("grade-filtration", j))
+    if m and max(grades) != d:
+        raise AlgebraError("RANK_FAIL", witness=("nilpotency-index", max(grades), d))
+    table = [(p, q, i, alpha[i, p, q]) for p in idx for q in range(p, m + 1) for i in idx
+             if alpha[i, p, q]]
+    return LocalAlgebra(fs, m, grades, table, d)
+
+
+def dense_product(alg, a, b):
+    """Coordinates of a * b from the definition of the structure constants."""
+    idx = range(1, alg.m + 1)
+    out = [a[0] * b[0]]
+    for i in idx:
+        acc = a[0] * b[i] + a[i] * b[0]
+        for p in idx:
+            for q in idx:
+                acc = acc + alg.alpha(i, p, q) * a[p] * b[q]
+        out.append(acc)
+    return out
+
+
+def two_variable_spec(order, a, b, char):
+    """k[x, y]/(x, y)^order in the basis x + a*y, x + b*y, then the monomials
+    of degrees 2 .. order - 1: products with several terms, which can cancel."""
+    monomials = [(k, d - k) for d in range(2, order) for k in range(d, -1, -1)]
+    basis = [{(1, 0): 1, (0, 1): a}, {(1, 0): 1, (0, 1): b}] + [{mon: 1} for mon in monomials]
+    index = {mon: k for k, mon in enumerate(monomials, start=3)}
+    products = []
+    for p in range(1, len(basis) + 1):
+        for q in range(p, len(basis) + 1):
+            prod = {}
+            for (x1, y1), c1 in basis[p - 1].items():
+                for (x2, y2), c2 in basis[q - 1].items():
+                    if x1 + x2 + y1 + y2 < order:
+                        mon = (x1 + x2, y1 + y2)
+                        prod[mon] = prod.get(mon, 0) + c1 * c2
+            coeffs = {str(index[mon]): str(c) for mon, c in prod.items() if c}
+            if coeffs:
+                products.append({"p": p, "q": q, "coeffs": coeffs})
+    grades = [1, 1] + [x + y for x, y in monomials]
+    return {"char": char, "dim": len(basis) + 1, "grades": grades, "products": products}
+
+
+@st.composite
+def algebra_specs(draw):
+    """A truncation, derivation, dual-number, two-factor tensor or two-variable
+    algebra in char 0, 2 or 3, as a spec with at most one structure constant
+    perturbed (or its last grade raised, or every grade set to 1)."""
+    char = draw(st.sampled_from((0, 2, 3)))
+    small = st.sampled_from((
+        lambda: dual_numbers(char),
+        lambda: truncation_algebra(3, char),
+        lambda: truncation_algebra(4, char),
+        lambda: derivation_algebra(2, char),
+        lambda: derivation_algebra(3, char),
+    ))
+    kind = draw(st.sampled_from(("single", "tensor", "two_variable")))
+    if kind == "single":
+        spec = dump_algebra(draw(small)())
+    elif kind == "tensor":
+        a = draw(small)()
+        spec = dump_algebra(tensor(a, draw(small.filter(lambda f: a.dim * f().dim <= 9))()))
+    else:
+        a, b = (draw(st.integers(-2, 2)) for _ in range(2))
+        spec = two_variable_spec(draw(st.sampled_from((3, 4))), a, b, char)
+    m = spec["dim"] - 1
+    how = draw(st.sampled_from(("none", "set", "mirror", "regrade")))
+    value = st.sampled_from(("0", "1", "-1", "2"))
+    off_diagonal = [e for e in spec["products"] if e["p"] < e["q"]]
+    if how == "mirror" and off_diagonal:  # a (q, p) entry beside a (p, q) one
+        e = draw(st.sampled_from(off_diagonal))
+        i = draw(st.sampled_from(sorted(e["coeffs"])))
+        spec["products"].append({"p": e["q"], "q": e["p"], "coeffs": {i: draw(value)}})
+    elif how == "regrade" and m:  # wrong grades instead of a wrong constant
+        if draw(st.booleans()):
+            spec["grades"][-1] += 1
+        else:
+            spec["grades"] = [1] * m
+    elif how != "none" and m:
+        p, q = sorted(draw(st.integers(1, m)) for _ in range(2))
+        i = draw(st.integers(0, m))
+        spec["products"] = _merge(spec["products"] + [{"p": p, "q": q, "coeffs": {str(i): draw(value)}}])
+    return spec
+
+
+def _merge(products):
+    """Fold entries with equal (p, q); later coefficients win."""
+    merged = {}
+    for e in products:
+        merged.setdefault((e["p"], e["q"]), {}).update(e["coeffs"])
+    return [{"p": p, "q": q, "coeffs": c} for (p, q), c in merged.items()]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError as e:
+        return ("AlgebraError", e.code, e.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=algebra_specs())
+def test_validate_matches_dense_reference(spec):
+    got, want = _outcome(validate, spec), _outcome(dense_validate, spec)
+    assert got == want
+    if isinstance(got, LocalAlgebra):
+        assert got.d == want.d
+        for p in range(1, got.m + 1):
+            for q in range(1, got.m + 1):
+                for i in range(got.m + 1):
+                    assert got.alpha(i, p, q) == want.alpha(i, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=algebra_specs(), data=st.data())
+def test_mul_matches_dense_product(spec, data):
+    try:
+        alg = validate(spec)
+    except AlgebraError:
+        return
+    coords = st.lists(st.integers(-3, 3), min_size=alg.dim, max_size=alg.dim)
+    a = [alg.field.scalar(x) for x in data.draw(coords)]
+    b = [alg.field.scalar(x) for x in data.draw(coords)]
+    assert list((alg.vector(a) * alg.vector(b)).coords) == dense_product(alg, a, b)
