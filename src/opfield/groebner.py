@@ -6,6 +6,11 @@ basis element's leading monomial is computed once, when it is added. Intended
 for desk scale (tens of variables, single-digit degrees). A degree cap,
 configurable through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts
 runaway computations with a clean error.
+
+Any Gröbner basis decides ideal membership, whatever its order, so an `Ideal`
+keeps one order of its own for membership and normal forms. Kernel ideals use
+their elimination lex order: the basis that leader detection needs anyway is
+also the one every membership test reduces against.
 """
 
 from __future__ import annotations
@@ -172,20 +177,24 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
 
 
 class Ideal:
-    """Generator list with cached reduced Gröbner bases keyed by order."""
+    """Generator list with cached reduced Gröbner bases keyed by order.
 
-    __slots__ = ("ring", "gens", "_bases")
+    `order` (default: the ring's) is the one membership and normal forms use.
+    """
 
-    def __init__(self, ring: PolyRing, gens=()):
+    __slots__ = ("ring", "gens", "order", "_bases")
+
+    def __init__(self, ring: PolyRing, gens=(), order=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
+        self.order = order or ring.order
         self._bases: dict = {}
 
     def groebner(self, order=None) -> tuple[Poly, ...]:
-        order = order or self.ring.order
+        order = order or self.order
         basis = self._bases.get(order)
         if basis is None:
             basis = buchberger(self.gens, order)
@@ -193,7 +202,7 @@ class Ideal:
         return basis
 
     def normal_form(self, f: Poly, order=None) -> Poly:
-        order = order or self.ring.order
+        order = order or self.order
         return normal_form_list(f, list(self.groebner(order)), order)
 
     def contains(self, f: Poly) -> bool:

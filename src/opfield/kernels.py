@@ -112,7 +112,7 @@ class Kernel:
                 rel = self.ring.lift(rel)
             if rel:
                 rels.append(rel)
-        self.ideal = Ideal(self.ring, rels)
+        self.ideal = Ideal(self.ring, rels, self._lex_order())
         self._leader_report: LeaderReport | None = None
         self._image_cache: dict = {}
         self.claim_routes_checked = 0
@@ -191,12 +191,15 @@ class Kernel:
     # -- validation -----------------------------------------------------------
     def lower_order_basis(self, order_bound: int) -> list[Poly]:
         """Lex-basis elements supported on jets of order <= order_bound."""
-        basis = self.ideal.groebner(self._lex_order())
+        basis = self.ideal.groebner()
         cutoff = [k for k, (w, t) in enumerate(self.jets) if len(w) <= order_bound]
         allowed = set(cutoff)
         return [g for g in basis if g.variables() <= allowed]
 
     def _lex_order(self) -> Lex:
+        """The ideal's order: lex with later jets biggest, an elimination order.
+
+        Leader detection needs this basis, and any basis decides membership."""
         return Lex(tuple(range(self.ring.nvars - 1, -1, -1)))
 
     def validate(self):
@@ -217,7 +220,7 @@ class Kernel:
     def leaders(self) -> LeaderReport:
         if self._leader_report is not None:
             return self._leader_report
-        basis = self.ideal.groebner(self._lex_order())
+        basis = self.ideal.groebner()
         entries = []
         for idx, (word, t) in enumerate(self.jets):
             allowed = set(range(idx + 1))
@@ -271,8 +274,10 @@ class Kernel:
 
         new = Kernel(self.field, self.n, s + 1, (), check=False)
         ring = new.ring
+        # The new jets take the highest indices, so the new lex order restricts
+        # to the old one and the lifted reduced basis stays a reduced basis.
         old_gb = [ring.lift(g) for g in self.ideal.groebner()]
-        order = self.ring.order
+        order = new._lex_order()
 
         def zero_mod_old(x: Frac) -> bool:
             return not normal_form_list(x.num, old_gb, order)
@@ -382,15 +387,12 @@ class Kernel:
             return self
         rels = self.lower_order_basis(k)
         out = Kernel(self.field, self.n, k, [], check=False)
-        out.ideal = Ideal(out.ring, [_retarget(g, out.ring) for g in rels])
+        out.ideal = Ideal(out.ring, [_retarget(g, out.ring) for g in rels], out._lex_order())
         return out
-
-    def relation_strings(self) -> list[str]:
-        return [str(g) for g in self.ideal.groebner()]
 
     def triangular_relations(self) -> list[str]:
         """Reduced basis for the elimination order (solved forms where possible)."""
-        return [str(g) for g in self.ideal.groebner(self._lex_order())]
+        return [str(g) for g in self.ideal.groebner()]
 
     # -- diagnostics ------------------------------------------------------------
     def in_radical(self, f: Poly) -> bool:

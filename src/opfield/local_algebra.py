@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import FieldSpec, SpecError, scalar_str
+from .scalars import FieldSpec, SpecError, scalar_str, spec_int, spec_json
 
 
 class AlgebraError(ValueError):
@@ -145,32 +145,19 @@ def _span_dim(vectors) -> int:
     return len(_row_reduce(vectors))
 
 
-def _spec_int(value, what: str) -> int:
-    if not isinstance(value, int):
-        raise SpecError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_json(value, kind: str, what: str):
-    """`value` if it is a JSON `kind` ("list" or "object"), else SpecError."""
-    if not isinstance(value, {"list": (list, tuple), "object": dict}[kind]):
-        raise SpecError(f"{what} must be a {kind}, got {value!r}")
-    return value
-
-
 def validate(spec: dict) -> LocalAlgebra:
     """Check a raw algebra description and return a LocalAlgebra.
 
     Raises AlgebraError with codes NOT_LOCAL / COMM_FAIL / ASSOC_FAIL /
     RANK_FAIL, or SpecError for shape problems.
     """
-    fs = FieldSpec(char=_spec_int(spec.get("char", 0), "char"))
-    dim = _spec_int(spec["dim"], "dim")
+    fs = FieldSpec(char=spec_int(spec.get("char", 0), "char"))
+    dim = spec_int(spec["dim"], "dim")
     if dim < 1:
         raise SpecError("dimension must be at least 1")
     m = dim - 1
-    grades = _spec_json(spec.get("grades", ()), "list", "grades")
-    grades = tuple(_spec_int(g, "grade") for g in grades)
+    grades = spec_json(spec.get("grades", ()), "list", "grades")
+    grades = tuple(spec_int(g, "grade") for g in grades)
     if len(grades) != m:
         raise SpecError(f"expected {m} grades, got {len(grades)}")
     if any(g < 1 for g in grades):
@@ -179,12 +166,12 @@ def validate(spec: dict) -> LocalAlgebra:
         raise SpecError("grades must be non-decreasing")
 
     raw: dict[tuple[int, int, int], object] = {}
-    for entry in _spec_json(spec.get("products", ()), "list", "products"):
-        entry = _spec_json(entry, "object", "product entry")
-        p, q = (_spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
+    for entry in spec_json(spec.get("products", ()), "list", "products"):
+        entry = spec_json(entry, "object", "product entry")
+        p, q = (spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
         if not (1 <= p <= m and 1 <= q <= m):
             raise SpecError(f"product indices ({p},{q}) out of range")
-        for i_str, lit in _spec_json(entry.get("coeffs", {}), "object", "coeffs").items():
+        for i_str, lit in spec_json(entry.get("coeffs", {}), "object", "coeffs").items():
             try:
                 i = int(i_str)
             except (TypeError, ValueError):

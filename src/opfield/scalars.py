@@ -113,6 +113,19 @@ class SpecError(ValueError):
     """Malformed mathematical spec (bad characteristic, grades, names...)."""
 
 
+def spec_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # JSON true is no integer
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def spec_json(value, kind: str, what: str):
+    """`value` if it is a JSON `kind` ("list", "object" or "string"), else SpecError."""
+    if not isinstance(value, {"list": (list, tuple), "object": dict, "string": str}[kind]):
+        raise SpecError(f"{what} must be a {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A computable base field: Q or F_p, with ordered transcendental generators."""

@@ -15,7 +15,7 @@ from .dfields import DField
 from .kernels import Kernel
 from .local_algebra import LocalAlgebra, derivation_algebra, trivial_algebra, validate
 from .polynomials import parse_frac
-from .scalars import FieldSpec, SpecError, scalar_str
+from .scalars import FieldSpec, SpecError, scalar_str, spec_int, spec_json
 
 
 class SpecFileError(ValueError):
@@ -219,7 +219,11 @@ def load_kernel(source, base_dir: Path | None = None) -> Kernel:
             raise SpecFileError("kernel spec needs a dfield or a gamma with a field")
         field = load_dfield(data["dfield"], base_dir, overrides=overrides or None)
     try:
-        return Kernel(field, int(data["n"]), int(data["r"]), data.get("relations", ()))
+        n, r = (spec_int(data[key], key) for key in ("n", "r"))
+        relations = spec_json(data.get("relations", []), "list", "relations")
+        for rel in relations:
+            spec_json(rel, "string", "relation")
+        return Kernel(field, n, r, relations)
     except SpecError as e:
         raise SpecFileError(str(e))
 

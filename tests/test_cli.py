@@ -23,6 +23,9 @@ def schema(name):
     return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
 
 
+RICCATI = json.loads((FIXTURES / "kernel_riccati.json").read_text())
+
+
 def run_json(argv, capsys):
     code = main(["--format", "json"] + argv)
     out = capsys.readouterr().out
@@ -119,9 +122,14 @@ def test_bad_degree_cap_is_parse_error():
             ["algebra", "validate"],
         ),
         ({"char": "two", "dim": 2, "grades": [1]}, ["algebra", "validate"]),
+        (RICCATI | {"n": "x"}, ["kernel", "leaders"]),
+        (RICCATI | {"r": [1]}, ["kernel", "leaders"]),
+        (RICCATI | {"relations": [5]}, ["kernel", "leaders"]),
+        (RICCATI | {"n": True}, ["kernel", "leaders"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
-         "coeff_key_not_int", "char_not_int"],
+         "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
+         "kernel_relation_not_str", "kernel_n_bool"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

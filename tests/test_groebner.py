@@ -235,3 +235,35 @@ def test_buchberger_matches_sympy(sympy, order_name, system):
     )
     expected = {_from_sympy(g, ring, order) for g in theirs.polys}
     assert set(buchberger(gens, order)) == expected
+
+
+@st.composite
+def members_and_others(draw):
+    """A random system, and candidates built from its generators plus a random polynomial."""
+    ring, gens = draw(systems())
+    exps = st.tuples(*[st.integers(0, 2)] * len(NAMES))
+    noise = Poly(ring, {
+        e: ring.domain.coerce(c)
+        for e, c in draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3)).items()
+    })
+    multipliers = [
+        Poly(ring, {e: ring.domain.coerce(c) for e, c in t.items()})
+        for t in draw(st.lists(st.dictionaries(exps, st.integers(-3, 3), max_size=2),
+                               min_size=len(gens), max_size=len(gens)))
+    ]
+    combo = sum((m * g for m, g in zip(multipliers, gens)), ring.zero)
+    candidates = [combo, combo + noise, gens[0] * gens[-1], noise]
+    return ring, gens, candidates
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=members_and_others())
+def test_contains_agrees_under_lex_and_grevlex(case):
+    ring, gens, candidates = case
+    lex_ideal = Ideal(ring, gens, ORDERS["lex"])
+    grevlex_ideal = Ideal(ring, gens, GREVLEX)
+    assert lex_ideal.groebner() == buchberger(gens, ORDERS["lex"])
+    for f in candidates:
+        assert lex_ideal.contains(f) == grevlex_ideal.contains(f)
+    # the generator combinations are members under both
+    assert lex_ideal.contains(candidates[0]) and lex_ideal.contains(candidates[2])

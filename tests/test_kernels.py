@@ -1,9 +1,13 @@
 from fractions import Fraction
+from importlib.resources import files
 from math import factorial
+from pathlib import Path
 
 import pytest
 from helpers import constant_field, sl2_constants, trivial_derivation, two_derivations
 
+from opfield import groebner
+from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
 from opfield.indices import psi
@@ -18,8 +22,11 @@ from opfield.kernels import (
     specialize_check,
 )
 from opfield.local_algebra import derivation_algebra
-from opfield.polynomials import Frac, PolyRing, parse_frac
+from opfield.polynomials import Frac, Lex, PolyRing, parse_frac
 from opfield.scalars import FieldSpec
+from opfield.specs import load_kernel
+
+FIXTURES = Path(str(files("opfield") / "fixtures"))
 
 
 # -- independent oracle: forward differentiation of y' = y^2 ------------------
@@ -122,6 +129,32 @@ def test_prolong_and_truncate_share_the_field_calculus():
     k3 = k.prolong().prolong()
     assert k3.fc is k.fc is k.field.fc
     assert k3.truncate(2).fc is k.fc
+
+
+@pytest.mark.parametrize("name", ["kernel_riccati.json", "kernel_equal_flows.json"])
+def test_lifted_lex_basis_is_the_prolonged_reduced_basis(name):
+    # prolong reduces against the previous level's lex basis, lifted unchanged
+    k = load_kernel(FIXTURES / name)
+    for _ in range(2):
+        new = k.prolong()
+        lifted = tuple(new.ring.lift(g) for g in k.ideal.groebner())
+        gens = [new.ring.lift(g) for g in k.ideal.gens]
+        assert lifted == groebner.buchberger(gens, new._lex_order())
+        k = new
+
+
+def test_realize_builds_only_lex_bases(monkeypatch, capsys):
+    orders = []
+    real = groebner.buchberger
+
+    def recording(gens, order=groebner.GREVLEX, cap=None):
+        orders.append(order)
+        return real(gens, order, cap)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    path = str(FIXTURES / "kernel_riccati.json")
+    assert main(["kernel", "realize", path, "--r", "2", "--order", "8"]) == 0
+    assert orders and all(isinstance(o, Lex) for o in orders)
 
 
 def test_prolong_generic_adds_nothing():
