@@ -115,6 +115,9 @@ class DField:
     def e(self, u: int, x) -> DVector:
         """The full operator homomorphism into D_u(K)."""
         x = Frac.of(x, self.ring)
+        if x.num.is_const() and x.den.is_const():
+            # a prime-field element: every operator kills it
+            return self._coeff_image(u)(x)
         return ehom_frac(x, self._images(u), self._coeff_image(u))
 
     def e_into(self, u: int, ring: PolyRing):

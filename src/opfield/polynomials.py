@@ -2,7 +2,9 @@
 
 Coefficients live in a domain attached to the ring: Q, F_p, or the fraction
 field of another polynomial ring (used for jet rings over a base function
-field). All arithmetic is exact; there is no floating point anywhere.
+field). Over a base ring with no generators that fraction field is Q or F_p
+itself, and its coefficients are plain `Fraction` / `Fp` scalars. All
+arithmetic is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -72,7 +74,11 @@ class ScalarDomain:
 
 @dataclass(frozen=True)
 class FracDomain:
-    """Fraction-field coefficients over a base polynomial ring."""
+    """Fraction-field coefficients over a base polynomial ring.
+
+    Over a base with no generators the fraction field is the scalar field,
+    so coefficients are plain `Fraction` / `Fp` values, printed as the
+    constant `Frac` they stand for."""
 
     base: "PolyRing"
 
@@ -82,22 +88,29 @@ class FracDomain:
 
     @property
     def one(self):
+        if not self.base.names:
+            return self.base.domain.one
         return Frac(self.base.one, self.base.one)
 
     def coerce(self, x):
+        if isinstance(x, Poly):
+            x = Frac(x, x.ring.one)
         if isinstance(x, Frac):
             if x.ring is not self.base and x.ring != self.base:
                 raise SpecError("fraction from a different base ring")
-            return x
-        if isinstance(x, Poly):
-            return Frac(x, x.ring.one)
-        return Frac(self.base.const(self.base.domain.coerce(x)), self.base.one)
+            return x if self.base.names else x.num.const_value() / x.den.const_value()
+        x = self.base.domain.coerce(x)
+        return Frac(self.base.const(x), self.base.one) if self.base.names else x
 
     def is_element(self, x):
         return isinstance(x, (Frac, Poly, Fraction, Fp, int))
 
     def to_str(self, x):
-        return f"({x})"
+        if isinstance(x, Frac):
+            return f"({x})"
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"(({x.numerator})/({x.denominator}))"
+        return f"({scalar_str(x)})"
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +596,10 @@ def poly_str(p: Poly, order=None) -> str:
     if not p.terms:
         return "0"
     order = order or p.ring.order
+    dom = p.ring.domain
+    one = dom.one
+    # a ScalarDomain over F_p prints its coefficients in 0..p-1, never as -1
+    prime_field = isinstance(dom, ScalarDomain) and dom.char > 0
     parts = []
     for e in sorted(p.terms, key=order.key, reverse=True):
         c = p.terms[e]
@@ -593,16 +610,14 @@ def poly_str(p: Poly, order=None) -> str:
             elif d > 1:
                 factors.append(f"{p.ring.names[i]}^{d}")
         mono = "*".join(factors)
-        one = p.ring.domain.one
         if not mono:
-            cs = p.ring.domain.to_str(c)
+            cs = dom.to_str(c)
         elif c == one:
             cs = mono
-        elif not isinstance(c, Fp) and c == -one:
-            # prime-field coefficients stay in 0..p-1
+        elif not prime_field and c == -one:
             cs = f"-{mono}"
         else:
-            cs = f"{p.ring.domain.to_str(c)}*{mono}"
+            cs = f"{dom.to_str(c)}*{mono}"
         parts.append(cs)
     out = parts[0]
     for part in parts[1:]:

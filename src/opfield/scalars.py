@@ -122,7 +122,7 @@ def spec_int(value, what: str) -> int:
 def spec_json(value, kind: str, what: str):
     """`value` if it is a JSON `kind` ("list", "object" or "string"), else SpecError."""
     if not isinstance(value, {"list": (list, tuple), "object": dict, "string": str}[kind]):
-        raise SpecError(f"{what} must be a {kind}, got {value!r}")
+        raise SpecError(f"{what} must be a JSON {kind}, got {value!r}")
     return value
 
 

@@ -8,6 +8,7 @@ embedding both). References are paths relative to the referring file.
 from __future__ import annotations
 
 import json
+from os import PathLike
 from pathlib import Path
 
 from .commutation import GammaSystem, base_ring
@@ -27,18 +28,27 @@ class SpecFileError(ValueError):
 
 
 def _load_json(source, base_dir: Path | None):
+    """The spec object `source` names: an object, or a non-empty path to one."""
     if isinstance(source, dict):
         return source, base_dir
+    if not isinstance(source, (str, PathLike)) or source == "":
+        raise SpecFileError(f"a spec reference must be a non-empty path or an object, got {source!r}")
     path = Path(source)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
     try:
         with open(path) as fh:
-            return json.load(fh), path.parent
+            data = json.load(fh)
     except FileNotFoundError:
         raise SpecFileError(f"no such file: {path}")
+    except IsADirectoryError:
+        raise SpecFileError(f"not a file: {path}")
     except json.JSONDecodeError as e:
         raise SpecFileError(f"invalid JSON: {e}", where=str(path))
+    try:
+        return spec_json(data, "object", "a spec"), path.parent
+    except SpecError as e:
+        raise SpecFileError(str(e), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +104,14 @@ def parse_op_key(text: str) -> tuple[int, int]:
 
 
 def _parse_field_parts(data, base_dir):
-    char = data.get("char", 0)
-    gens = tuple(data.get("gens", ()))
+    char = spec_int(data.get("char", 0), "char")
+    gens = tuple(spec_json(g, "string", "generator") for g in spec_json(data.get("gens", []), "list", "gens"))
     spec = FieldSpec(char=char, gens=gens)
     action = {}
-    for gen, row in data.get("action", {}).items():
+    for gen, row in spec_json(data.get("action", {}), "object", "action").items():
         if gen not in gens:
             raise SpecFileError(f"action references unknown generator {gen!r}")
-        for opkey, val in row.items():
+        for opkey, val in spec_json(row, "object", f"action on {gen}").items():
             action.setdefault(parse_op_key(opkey), {})[gen] = str(val)
     if "d1" in data:
         d1 = load_algebra(data["d1"], base_dir)

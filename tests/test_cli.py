@@ -24,6 +24,12 @@ def schema(name):
 
 
 RICCATI = json.loads((FIXTURES / "kernel_riccati.json").read_text())
+RICCATI_QT = json.loads((FIXTURES / "kernel_riccati_qt.json").read_text())
+
+
+def with_dfield(kernel_spec, **fields):
+    """The kernel spec with these fields of its dfield section replaced."""
+    return kernel_spec | {"dfield": kernel_spec["dfield"] | fields}
 
 
 def run_json(argv, capsys):
@@ -126,10 +132,21 @@ def test_bad_degree_cap_is_parse_error():
         (RICCATI | {"r": [1]}, ["kernel", "leaders"]),
         (RICCATI | {"relations": [5]}, ["kernel", "leaders"]),
         (RICCATI | {"n": True}, ["kernel", "leaders"]),
+        (with_dfield(RICCATI, action=[1]), ["kernel", "leaders"]),
+        (with_dfield(RICCATI_QT, action={"t": "x"}), ["kernel", "leaders"]),
+        (with_dfield(RICCATI, char=[0]), ["kernel", "leaders"]),
+        (with_dfield(RICCATI, d1=3), ["kernel", "leaders"]),
+        (with_dfield(RICCATI, d1=""), ["kernel", "leaders"]),
+        (RICCATI | {"dfield": []}, ["kernel", "leaders"]),
+        (with_dfield(RICCATI_QT, gens="tu", action={}), ["kernel", "leaders"]),
+        (with_dfield(RICCATI, gens=[5]), ["kernel", "leaders"]),
+        ([RICCATI["dfield"]], ["dfield", "validate"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
-         "kernel_relation_not_str", "kernel_n_bool"],
+         "kernel_relation_not_str", "kernel_n_bool", "dfield_action_list", "dfield_action_row_str",
+         "dfield_char_list", "dfield_d1_int", "dfield_d1_empty", "dfield_list", "dfield_gens_str",
+         "dfield_gen_int", "dfield_file_list"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
@@ -250,6 +267,36 @@ def test_kernel_realize_cli(capsys):
     jsonschema.validate(data, schema("realize"))
     assert data["order"] == 6
     assert "-x1_[]^2 + x1_[1,1]" in data["relations"]
+
+
+@pytest.mark.parametrize(
+    "char, relation, expected",
+    [
+        (3, "x1_[1,1] - x1_[]^2 - 2*x1_[] + 1", [
+            "-x1_[]^2 + x1_[] + x1_[1,1] + (1)",
+            "x1_[]^3 + x1_[] + x1_[1,1;1,1] + (2)",
+            "x1_[]^2 - x1_[] + x1_[1,1;1,1;1,1] + (2)",
+        ]),
+        (0, "x1_[1,1] + 1/2*x1_[]^2 - 1/3*x1_[] - 2", [
+            "((1)/(2))*x1_[]^2 + ((-1)/(3))*x1_[] + x1_[1,1] + (-2)",
+            "((-1)/(2))*x1_[]^3 + ((1)/(2))*x1_[]^2 + ((17)/(9))*x1_[] + x1_[1,1;1,1] + ((-2)/(3))",
+            "((3)/(4))*x1_[]^4 - x1_[]^3 + ((-65)/(18))*x1_[]^2 + ((71)/(27))*x1_[]"
+            " + x1_[1,1;1,1;1,1] + ((34)/(9))",
+        ]),
+    ],
+    ids=["char3", "char0_rational"],
+)
+def test_kernel_realize_report_text_over_bare_field(char, relation, expected, tmp_path, capsys):
+    # Jet coefficients over a bare field print as the constant fractions they
+    # stand for, "(c)" and "((n)/(d))"; in char 3 a coefficient -1 prints as a
+    # sign, as it does over F_3(t).
+    d1 = {"char": char, "dim": 2, "grades": [1], "products": []}
+    spec = {"dfield": {"char": char, "gens": [], "action": {}, "d1": d1}, "n": 1, "r": 1, "relations": [relation]}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(spec))
+    code, data = run_json(["kernel", "realize", str(path), "--r", "1", "--order", "3"], capsys)
+    assert code == 0
+    assert data["relations"] == expected
 
 
 def test_kernel_check_point_cli(capsys):

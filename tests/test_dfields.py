@@ -9,6 +9,7 @@ from opfield.dfields import (
     GammaFail,
     NonzeroResidual,
     NotSeparable,
+    ehom_frac,
     extend_inseparable_decide,
     extend_separable,
     solve_by_grade,
@@ -27,6 +28,13 @@ def qt_field():
     spec = FieldSpec(char=0, gens=("t",))
     gamma = GammaSystem(derivation_algebra(1), None, {}, {}, spec)
     return DField(spec, gamma, {(1, 1): {"t": 1}})
+
+
+def test_e_of_a_constant_matches_the_homomorphism():
+    K = qt_field()
+    for c in (0, Fraction(3, 4), parse_frac(K.ring, "(-5)/(7)"), parse_frac(K.ring, "(2*t)/(t)")):
+        x = Frac.of(c, K.ring)
+        assert K.e(1, c) == ehom_frac(x, K._images(1), K._coeff_image(1))
 
 
 def char2_field():

@@ -1,5 +1,8 @@
 """Kernel machinery in positive characteristic and over mixed systems."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from helpers import constant_field, mixed_f2
 
@@ -7,7 +10,7 @@ from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
 from opfield.kernels import Kernel, KernelError, realisation_criterion, realize
 from opfield.local_algebra import derivation_algebra, trivial_algebra, truncation_algebra
-from opfield.scalars import FieldSpec
+from opfield.scalars import FieldSpec, Fp
 
 
 def test_hs_kernel_flow_consistency():
@@ -128,3 +131,27 @@ def test_hs_kernel_relation_over_moving_base():
     k = Kernel(field, 1, 1, ["x1_[2,1] - w*x1_[]"])
     k2 = k.prolong()
     k2.validate()
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_bare_field_matches_frac_tower(char):
+    # Over a bare field jet coefficients are plain scalars; over F(t) with t
+    # constant they stay fractions of polynomials in t, an independent
+    # reference for the same kernels.
+    rng = random.Random(700 + char)
+    gamma = GammaSystem(derivation_algebra(1, char=char), None, {}, {}, FieldSpec(char))
+
+    def scalar():
+        if char == 0:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return Fp(rng.randrange(char), char)
+
+    for _ in range(6):
+        a, b, c = scalar(), scalar(), scalar()
+        relation = f"x1_[1,1] - ({a})*x1_[]^2 - ({b})*x1_[] - ({c})"
+        reports = []
+        for gens in ((), ("t",)):
+            k = realize(Kernel(constant_field(gamma, gens), 1, 1, [relation]).prolong(), 1, 3)
+            entries = [(e.status, str(e.witness)) for e in k.leaders().entries]
+            reports.append((k.triangular_relations(), entries))
+        assert reports[0] == reports[1], relation

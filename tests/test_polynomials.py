@@ -4,9 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from opfield.commutation import GammaSystem
+from opfield.dfields import DField
+from opfield.kernels import Kernel
+from opfield.local_algebra import derivation_algebra
 from opfield.polynomials import (
     GREVLEX,
     Frac,
+    FracDomain,
     ParseError,
     Poly,
     PolyRing,
@@ -178,6 +183,35 @@ def test_constant_frac_equality_and_hash(char, a, b, c, d):
     assert (f == h) == same
     if same:
         assert hash(f) == hash(h)
+
+
+@given(CHARS, NONZERO, NONZERO)
+def test_bare_frac_domain_holds_scalars_printed_as_constant_fracs(char, a, b):
+    base = PolyRing((), ScalarDomain(char))
+    dom = FracDomain(base)
+    f = Frac(_const(base, a, 1), _const(base, b, 1))
+    value = dom.coerce(f)
+    assert type(value) is type(dom.one) is (Fraction if char == 0 else Fp)
+    assert value == base.domain.coerce(a) / base.domain.coerce(b)
+    assert dom.coerce(base.const(a)) == dom.coerce(a) == base.domain.coerce(a)
+    assert dom.to_str(value) == f"({f})"
+
+
+def test_bare_frac_domain_refuses_fractions_over_generators():
+    dom = FracDomain(PolyRing((), ScalarDomain(0)))
+    rt = PolyRing(("t",))
+    for foreign in (Frac(rt.one, rt.var("t")), Frac(rt.const(2), rt.one), rt.var("t")):
+        with pytest.raises(SpecError):
+            dom.coerce(foreign)
+
+
+@pytest.mark.parametrize("char, kind", [(0, Fraction), (3, Fp)])
+def test_kernel_over_bare_field_has_scalar_coefficients(char, kind):
+    spec = FieldSpec(char)
+    field = DField(spec, GammaSystem(derivation_algebra(1, char=char), None, {}, {}, spec), {})
+    k = Kernel(field, 1, 1, ["x1_[1,1] - 2*x1_[]^2 - x1_[] + 1"]).prolong()
+    coeffs = [c for g in k.ideal.groebner() for c in g.terms.values()]
+    assert coeffs and all(type(c) is kind for c in coeffs)
 
 
 def test_poly_str_roundtrip(rxy):
