@@ -108,6 +108,7 @@ class FracDomain:
     def to_str(self, x):
         if isinstance(x, Frac):
             return f"({x})"
+        # what str() of the constant Frac gives, without building that Frac
         if isinstance(x, Fraction) and x.denominator != 1:
             return f"(({x.numerator})/({x.denominator}))"
         return f"({scalar_str(x)})"
