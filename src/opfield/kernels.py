@@ -148,6 +148,8 @@ class Kernel:
         return value
 
     def parse_relation(self, text: str) -> Poly:
+        ops = set(self.field.ops)
+
         def resolve(name):
             parsed = parse_jet_name(name)
             if parsed is None:
@@ -157,6 +159,9 @@ class Kernel:
             t, word = parsed
             if not (1 <= t <= self.n):
                 raise SpecError(f"jet family {t} out of range")
+            for u, i in word:
+                if (u, i) not in ops:
+                    raise SpecError(f"jet {name}: the field has no operator {u},{i}")
             return self.jet_value(t, word)
 
         f = parse_frac(self.ring, text, resolve=resolve)

@@ -63,6 +63,8 @@ class ScalarDomain:
         return Fraction(1) if self.char == 0 else Fp(1, self.char)
 
     def coerce(self, x):
+        if isinstance(x, Fraction) and self.char == 0 or isinstance(x, Fp) and x.p == self.char:
+            return x  # already in this field: no FieldSpec to build
         return FieldSpec(self.char).scalar(x)
 
     def is_element(self, x):
@@ -403,30 +405,6 @@ def _rat_content(p: Poly) -> Fraction:
     return Fraction(g, l)
 
 
-def _univar_gcd(a: Poly, b: Poly, i: int) -> Poly:
-    # Euclid in one variable; coefficients form a field.
-    order = lex_order(a.ring, priority=(i,) + tuple(j for j in range(a.ring.nvars) if j != i))
-    while b:
-        _, r = _univar_divmod(a, b, i, order)
-        a, b = b, r
-    return a.monic(order)
-
-
-def _univar_divmod(a: Poly, b: Poly, i: int, order) -> tuple[Poly, Poly]:
-    q = a.ring.zero
-    r = a
-    db = b.degree_in(i)
-    be, bc = b.lead(order)
-    while r and r.degree_in(i) >= db:
-        re, rc = r.lead(order)
-        shift = [0] * a.ring.nvars
-        shift[i] = re[i] - be[i]
-        t = Poly(a.ring, {tuple(shift): rc / bc})
-        q = q + t
-        r = r - t * b
-    return q, r
-
-
 class Frac:
     """Normalized fraction of polynomials from one ring."""
 
@@ -546,7 +524,7 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     zero = (0,) * ring.nvars
     if isinstance(dom, ScalarDomain) and num.terms.keys() == den.terms.keys() == {zero}:
         # constant over constant: the pair _normalize_general returns, without
-        # its exact division and content gcds
+        # its quotient Poly and content gcds
         c = num.terms[zero] / den.terms[zero]
         if dom.char == 0:
             return (
@@ -558,22 +536,32 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel what is cheap to find and fix the denominator's scale; num != 0."""
+    """Cancel what is cheap to find and fix the denominator's scale; num != 0.
+
+    How much cancels depends on the variables that occur:
+    - a constant denominator divides into the numerator term by term;
+    - when num and den together involve one variable, their gcd divides out
+      and the fraction ends in lowest terms (`_cancel_univariate`);
+    - with two or more variables, den cancels only when it divides num. A
+      multivariate gcd is not computed, so this case stays partial, and
+      cancelling more would change the text of the fractions reports print.
+    A univariate fraction in lowest terms is unique up to a scalar, and the
+    scaling below sends every scalar multiple to the same pair.
+    """
     ring = num.ring
     dom = ring.domain
-    # cheap cancellations: exact division, then shared univariate gcd
-    q = exact_div(num, den)
-    if q is not None:
-        num, den = q, ring.one
+    zero = (0,) * ring.nvars
+    if len(den.terms) == 1 and zero in den.terms:
+        c = den.terms[zero]
+        num, den = Poly(ring, {e: v / c for e, v in num.terms.items()}), ring.one
     else:
         nvars = num.variables() | den.variables()
         if len(nvars) == 1:
-            i = next(iter(nvars))
-            g = _univar_gcd(num, den, i)
-            if g.degree_in(i) > 0:
-                order = lex_order(ring, priority=(i,) + tuple(j for j in range(ring.nvars) if j != i))
-                num, _ = _univar_divmod(num, g, i, order)
-                den, _ = _univar_divmod(den, g, i, order)
+            num, den = _cancel_univariate(num, den, nvars.pop())
+        else:
+            q = exact_div(num, den)
+            if q is not None:
+                num, den = q, ring.one
     if isinstance(dom, ScalarDomain) and dom.char == 0:
         cn, cd = _rat_content(num), _rat_content(den)
         g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
@@ -587,6 +575,62 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if lc == one:
         return num, den
     return num.scale(one / lc), den.scale(one / lc)
+
+
+def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly]:
+    """num and den divided by their monic gcd; neither involves a variable
+    but x_i, and den is not constant.
+
+    Euclid runs on dense coefficient lists in x_i (entry k is the coefficient
+    of x_i^k) with each divisor made monic first, so the remainders need one
+    division per divisor coefficient and the exact quotients by the gcd none.
+    """
+    dom = num.ring.domain
+    zero, one = dom.coerce(0), dom.one
+    a, b = _dense(num, i, zero), _dense(den, i, zero)
+    g, r = a, b
+    while len(r) > 1:
+        lc = r[-1]
+        r = [c / lc for c in r[:-1]] + [one]
+        g, r = r, _dense_divmod(g, r)[1]
+    if r:  # a nonzero constant remainder: num and den are coprime
+        return num, den
+    return _sparse(num.ring, i, _dense_divmod(a, g)[0]), _sparse(num.ring, i, _dense_divmod(b, g)[0])
+
+
+def _dense(p: Poly, i: int, zero) -> list:
+    coeffs = [zero] * (p.degree_in(i) + 1)
+    for e, c in p.terms.items():
+        coeffs[e[i]] = c
+    return coeffs
+
+
+def _sparse(ring: PolyRing, i: int, coeffs: list) -> Poly:
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            e = [0] * ring.nvars
+            e[i] = k
+            terms[tuple(e)] = c
+    return Poly(ring, terms)
+
+
+def _dense_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of dense coefficient lists; b is monic, a has
+    a nonzero top entry, and the remainder has none of its top zeros."""
+    db = len(b) - 1
+    r = list(a)
+    q = r[db:]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[db + k]
+        q[k] = c
+        if c:
+            for j in range(db):
+                r[k + j] = r[k + j] - c * b[j]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 # ---------------------------------------------------------------------------

@@ -141,12 +141,14 @@ def test_bad_degree_cap_is_parse_error():
         (with_dfield(RICCATI_QT, gens="tu", action={}), ["kernel", "leaders"]),
         (with_dfield(RICCATI, gens=[5]), ["kernel", "leaders"]),
         ([RICCATI["dfield"]], ["dfield", "validate"]),
+        (RICCATI_QT | {"relations": ["x1_[1,9] - 1"]}, ["kernel", "leaders"]),
+        (RICCATI_QT | {"relations": ["x1_[1,0] - 1"]}, ["kernel", "leaders"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
          "kernel_relation_not_str", "kernel_n_bool", "dfield_action_list", "dfield_action_row_str",
          "dfield_char_list", "dfield_d1_int", "dfield_d1_empty", "dfield_list", "dfield_gens_str",
-         "dfield_gen_int", "dfield_file_list"],
+         "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
