@@ -157,21 +157,11 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
         ):
             continue
         minimal.append(g)
-    # inter-reduce tails
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            r = normal_form_list(minimal[idx], others, order)
-            if not r:
-                minimal.pop(idx)
-                changed = True
-                break
-            r = r.monic(order)
-            if r != minimal[idx]:
-                minimal[idx] = r
-                changed = True
+    # inter-reduce tails in one pass: the leads of a minimal basis never
+    # change, and a remainder has no term any lead divides, so an element
+    # stays reduced while the others are reduced after it
+    for idx in range(len(minimal)):
+        minimal[idx] = normal_form_list(minimal[idx], minimal[:idx] + minimal[idx + 1 :], order)
     minimal.sort(key=lambda g: order.key(g.lm(order)))
     return tuple(minimal)
 
@@ -179,7 +169,7 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
 class Ideal:
     """Generator list with cached reduced Gröbner bases keyed by order.
 
-    `order` (default: the ring's) is the one membership and normal forms use.
+    `order` (default: grevlex) is the one membership and normal forms use.
     """
 
     __slots__ = ("ring", "gens", "order", "_bases")
@@ -190,7 +180,7 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        self.order = order or ring.order
+        self.order = order or GREVLEX
         self._bases: dict = {}
 
     def groebner(self, order=None) -> tuple[Poly, ...]:
@@ -214,9 +204,6 @@ class Ideal:
         return all(other.contains(g) for g in self.gens) and all(
             self.contains(g) for g in other.gens
         )
-
-    def __hash__(self):
-        return hash((self.ring, self.gens))
 
 
 def min_poly(v: int, ideal: Ideal, predecessors: set[int]) -> Poly | None:

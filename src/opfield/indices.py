@@ -21,10 +21,6 @@ def op_key(op: Op) -> tuple[int, int]:
     return (1 if u == 1 else 0, i)
 
 
-def is_lie(op: Op) -> bool:
-    return op[0] == 1
-
-
 def is_hs(op: Op) -> bool:
     return op[0] == 2
 

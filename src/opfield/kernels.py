@@ -80,12 +80,6 @@ class LeaderReport:
                 return e
         raise KeyError((word, t))
 
-    def leaders(self) -> list[tuple[Word, int]]:
-        return [(e.word, e.t) for e in self.entries if e.is_leader]
-
-    def separable_leaders(self) -> list[tuple[Word, int]]:
-        return [(e.word, e.t) for e in self.entries if e.status == "SEPARABLE"]
-
 
 class Kernel:
     def __init__(self, field: DField, n: int, r: int, relations=(), check: bool = True):
@@ -168,17 +162,15 @@ class Kernel:
         return f.num  # denominators are units in the kernel field
 
     # -- operator action ------------------------------------------------------
-    def _images(self, u: int, target_ring: PolyRing | None = None) -> dict:
-        ring = target_ring or self.ring
+    def _images(self, u: int) -> dict:
         alg = self.gamma.algebra(u)
         images = {}
         for idx, (word, t) in enumerate(self.jets):
             if len(word) >= self.r:
                 continue  # top-order jets have no image inside this kernel
-            coords = [Frac(ring.var(idx), ring.one, normalize=False)]
+            coords = [self.jet_var(t, word)]
             for i in range(1, alg.m + 1):
-                v = self.jet_value(t, ((u, i),) + word)
-                coords.append(Frac(ring.lift(v.num), ring.lift(v.den)))
+                coords.append(self.jet_value(t, ((u, i),) + word))
             images[idx] = DVector(alg, tuple(coords))
         return images
 
@@ -265,7 +257,19 @@ class Kernel:
         return Poly(self.ring, terms)
 
     # -- prolongation -----------------------------------------------------------
-    def prolong(self, check_claims: bool = True) -> "Kernel":
+    def prolong(self) -> "Kernel":
+        """The generic prolongation to length r + 1.
+
+        The images of the operator action are the new kernel's own
+        (`_images`), except at the separable leaders of order r: their
+        derivative values are forced by the witness relation and solved with
+        `solve_by_grade`. The leaders are solved in jet order, so each one
+        sees the values already solved for the leaders before it; its witness
+        involves no later jet. Solved values must agree with the correction
+        term wherever an operator word collapses, and all routes to a jet of
+        order r + 1 must agree modulo the old ideal; the first route then
+        gives the jet's new relation.
+        """
         s = self.r
         char = self.field.spec.char
         if char > 0:
@@ -287,102 +291,59 @@ class Kernel:
         def zero_mod_old(x: Frac) -> bool:
             return not normal_form_list(x.num, old_gb, order)
 
-        # operator images over the extended ring, filled level by level
-        images = {1: {}, 2: {}}
-        algs = {}
-        for u in (1, 2):
-            if u == 2 and self.gamma.d2 is None:
-                continue
-            algs[u] = self.gamma.algebra(u)
-            if u == 1 and algs[u].m == 0:
-                continue
-            base = self._images(u, target_ring=ring)
-            images[u].update(base)
-        # base images cover jets of order <= s-1; now the top level
-        solved: dict[tuple[Word, int], dict] = {}
-        for idx, (tau, t) in enumerate(self.jets):
-            if len(tau) != s:
-                continue
-            info = report.info(tau, t)
-            per_op: dict = {}
-            if info.is_leader:
-                # unique derivative values at a separable leader
-                fprime = Frac(ring.lift(info.witness.deriv(idx)), ring.one)
-                per_op = solve_by_grade(self.field, ring.lift(info.witness), idx, fprime, images)
-            else:
-                for op in self.gamma.ops:
-                    word = (op,) + tau
-                    val = new.subst_free(t, self.fc.ell(word))
-                    if chi(word):
-                        val = val + new.jet_var(t, rho(word))
-                    per_op[op] = val
-            solved[(tau, t)] = per_op
-            for u in (1, 2):
-                if u not in algs:
-                    continue
-                alg = algs[u]
-                coords = [Frac(ring.var(idx), ring.one, normalize=False)]
-                for i in range(1, alg.m + 1):
-                    coords.append(per_op[(u, i)])
-                images[u][idx] = DVector(alg, tuple(coords))
+        def correction(t: int, word: Word) -> Frac:
+            return new.subst_free(t, self.fc.ell(word))
 
-        # consistency of forced values, then the specialisation relations
+        images = {u: new._images(u) for u in (1, 2) if u == 1 or self.gamma.d2 is not None}
+        solved: dict[tuple[Word, int], dict] = {}
+        for idx, info in enumerate(report.entries):  # one entry per jet, in jet order
+            if len(info.word) != s or not info.is_leader:
+                continue
+            fprime = Frac(ring.lift(info.witness.deriv(idx)), ring.one)
+            per_op = solve_by_grade(self.field, ring.lift(info.witness), idx, fprime, images)
+            solved[(info.word, info.t)] = per_op
+            for u, per_jet in images.items():
+                alg = per_jet[idx].algebra
+                forced = tuple(per_op[(u, i)] for i in range(1, alg.m + 1))
+                per_jet[idx] = DVector(alg, per_jet[idx].coords[:1] + forced)
+
+        for (tau, t), per_op in solved.items():
+            for op in self.gamma.ops:
+                if chi((op,) + tau) == 0 and not zero_mod_old(per_op[op] - correction(t, (op,) + tau)):
+                    raise KernelError(
+                        "GAMMA_FAIL",
+                        "collapsed derivative disagrees with its correction term",
+                        witness=(op, jet_name(t, tau)),
+                    )
+
         new_rels: list[Poly] = []
         routes_checked = 0
-        if check_claims:
-            for (tau, t), per_op in solved.items():
-                if not report.info(tau, t).is_leader:
-                    continue
-                for op in self.gamma.ops:
-                    if chi((op,) + tau) == 0:
-                        expect = new.subst_free(t, self.fc.ell((op,) + tau))
-                        if not zero_mod_old(per_op[op] - expect):
-                            raise KernelError(
-                                "GAMMA_FAIL",
-                                "collapsed derivative disagrees with its correction term",
-                                witness=(op, jet_name(t, tau)),
-                            )
-
         for t in range(1, self.n + 1):
             for mu in normal_words(self.gamma.m1, self.gamma.m2, s + 1):
-                routes = []
-                seen_ops = set()
-                for k in range(len(mu)):
-                    op = mu[k]
-                    if op in seen_ops:
-                        continue
-                    seen_ops.add(op)
-                    tau = mu[:k] + mu[k + 1 :]
-                    if (tau, t) not in solved:
-                        continue
-                    if not report.info(tau, t).is_leader:
-                        continue
-                    routes.append((op, tau))
+                first: dict = {}  # each operator's route drops its first occurrence in mu
+                for k, op in enumerate(mu):
+                    first.setdefault(op, mu[:k] + mu[k + 1 :])
+                routes = [(op, tau) for op, tau in first.items() if (tau, t) in solved]
                 if not routes:
                     continue
                 routes.sort(key=lambda rt: (tri_key(rt[1], t, self.gamma.m1, self.gamma.m2), op_key(rt[0])))
-                values = []
-                for op, tau in routes:
-                    v = solved[(tau, t)][op] - new.subst_free(t, self.fc.ell((op,) + tau))
-                    values.append(v)
-                if check_claims:
-                    for other in values[1:]:
-                        if not zero_mod_old(values[0] - other):
-                            raise KernelError(
-                                "GAMMA_FAIL",
-                                "two derivative routes disagree",
-                                witness=(jet_name(t, mu),),
-                            )
-                    routes_checked += len(values) - 1
-                value = values[0]
-                rel = new.jet_var(t, mu).num * value.den - value.num
+                values = [solved[(tau, t)][op] - correction(t, (op,) + tau) for op, tau in routes]
+                for other in values[1:]:
+                    if not zero_mod_old(values[0] - other):
+                        raise KernelError(
+                            "GAMMA_FAIL",
+                            "two derivative routes disagree",
+                            witness=(jet_name(t, mu),),
+                        )
+                routes_checked += len(values) - 1
+                rel = new.jet_var(t, mu).num * values[0].den - values[0].num
                 if rel:
                     new_rels.append(rel)
 
         gens = [ring.lift(g) for g in self.ideal.gens] + new_rels
-        out = Kernel(self.field, self.n, s + 1, gens, check=False)
-        out.claim_routes_checked = routes_checked
-        return out
+        new.ideal = Ideal(ring, gens, order)
+        new.claim_routes_checked = routes_checked
+        return new
 
     # -- derived kernels ----------------------------------------------------------
     def truncate(self, k: int) -> "Kernel":

@@ -76,10 +76,8 @@ class LocalAlgebra:
             return 0
         return self.grades[p - 1]
 
-    def unit(self, one=None, zero=None) -> "DVector":
-        one = self.field.one if one is None else one
-        zero = self.field.zero if zero is None else zero
-        return DVector(self, (one,) + (zero,) * self.m)
+    def unit(self) -> "DVector":
+        return DVector(self, (self.field.one,) + (self.field.zero,) * self.m)
 
     def vector(self, coords) -> "DVector":
         return DVector(self, tuple(coords))

@@ -126,12 +126,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?:\[[0-9,;]*\])?")
 class PolyRing:
     """Polynomial ring with a fixed ordered list of variable names."""
 
-    __slots__ = ("names", "domain", "order", "_index")
+    __slots__ = ("names", "domain", "_index")
 
-    def __init__(self, names, domain=None, order=GREVLEX):
+    def __init__(self, names, domain=None):
         self.names = tuple(names)
         self.domain = domain if domain is not None else ScalarDomain(0)
-        self.order = order
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
@@ -182,7 +181,7 @@ class PolyRing:
         return name in self._index
 
     def extend(self, new_names) -> "PolyRing":
-        return PolyRing(self.names + tuple(new_names), self.domain, self.order)
+        return PolyRing(self.names + tuple(new_names), self.domain)
 
     def lift(self, p: "Poly") -> "Poly":
         """Re-interpret a polynomial from a ring whose variables are a prefix."""
@@ -314,18 +313,17 @@ class Poly:
         return Poly(self.ring, {e: cc * c for e, cc in self.terms.items()})
 
     # -- leading data -------------------------------------------------------
-    def lead(self, order=None):
-        order = order or self.ring.order
+    def lead(self, order=GREVLEX):
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def lm(self, order=None):
+    def lm(self, order=GREVLEX):
         return self.lead(order)[0]
 
-    def lc(self, order=None):
+    def lc(self, order=GREVLEX):
         return self.lead(order)[1]
 
-    def monic(self, order=None) -> "Poly":
+    def monic(self, order=GREVLEX) -> "Poly":
         if not self.terms:
             return self
         c = self.lc(order)
@@ -637,16 +635,15 @@ def _dense_divmod(a: list, b: list) -> tuple[list, list]:
 # canonical text form
 # ---------------------------------------------------------------------------
 
-def poly_str(p: Poly, order=None) -> str:
+def poly_str(p: Poly) -> str:
     if not p.terms:
         return "0"
-    order = order or p.ring.order
     dom = p.ring.domain
     one = dom.one
     # a ScalarDomain over F_p prints its coefficients in 0..p-1, never as -1
     prime_field = isinstance(dom, ScalarDomain) and dom.char > 0
     parts = []
-    for e in sorted(p.terms, key=order.key, reverse=True):
+    for e in sorted(p.terms, key=GREVLEX.key, reverse=True):
         c = p.terms[e]
         factors = []
         for i, d in enumerate(e):
@@ -714,7 +711,6 @@ def parse_frac(ring: PolyRing, text: str, resolve=None) -> Frac:
     """
     tokens = _tokenize(text)
     pos = 0
-    one = Frac(ring.one, ring.one, normalize=False)
 
     def peek():
         return tokens[pos]

@@ -155,6 +155,13 @@ def test_ideal_equality(rxy):
     assert not (a == c)
 
 
+def test_ideal_is_unhashable(rxy):
+    # equal ideals may have different generators, so no hash can agree with ==
+    x, y = rxy.var("x"), rxy.var("y")
+    with pytest.raises(TypeError):
+        hash(Ideal(rxy, [x - y]))
+
+
 # ---------------------------------------------------------------------------
 # random systems: reduced-basis invariants and the sympy oracle
 # ---------------------------------------------------------------------------

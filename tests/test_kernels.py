@@ -181,6 +181,8 @@ def test_prolong_rejects_incompatible_flows():
     with pytest.raises(KernelError) as e:
         k.prolong()
     assert e.value.code == "GAMMA_FAIL"
+    assert "two derivative routes disagree" in str(e.value)
+    assert e.value.witness == ("x1_[1,2;1,1]",)
 
 
 def test_prolong_with_nonzero_bracket():

@@ -25,6 +25,8 @@ def test_hs_kernel_flow_consistency():
     with pytest.raises(KernelError) as e:
         Kernel(field, 1, 1, ["x1_[2,1] - x1_[]"]).prolong()
     assert e.value.code == "GAMMA_FAIL"
+    assert "collapsed derivative disagrees with its correction term" in str(e.value)
+    assert e.value.witness == ((2, 1), "x1_[2,1]")
 
 
 def test_hs_kernel_realizes():

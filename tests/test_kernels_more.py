@@ -34,6 +34,24 @@ def test_incompatible_flow_with_correction_term():
     with pytest.raises(Exception) as e:
         k.prolong()
     assert getattr(e.value, "code", "") == "GAMMA_FAIL"
+    assert "two derivative routes disagree" in str(e.value)
+    assert e.value.witness == ("x1_[1,2;1,1]",)
+
+
+def test_later_leader_uses_solved_values_of_earlier_leaders():
+    # d1 x = y with y^2 = x, d2 x = y: the witness of the leader x1_[1,2]
+    # involves the earlier leader x1_[1,1], so its derivatives must be solved
+    # from x1_[1,1]'s solved values, not from the free top-order jets
+    k = Kernel(constant_field(two_derivations()), 1, 1, ["x1_[1,1]^2 - x1_[]", "x1_[1,2] - x1_[1,1]"])
+    k2 = k.prolong()
+    assert k2.claim_routes_checked == 1
+    assert [str(g) for g in k2.ideal.gens] == [
+        "x1_[1,1]^2 - x1_[]",
+        "-x1_[1,1] + x1_[1,2]",
+        "x1_[1,1;1,1] + ((-1)/(2))",
+        "x1_[1,1]*x1_[1,2;1,1] + ((-1)/(2))*x1_[1,2]",
+        "x1_[1,1]*x1_[1,2;1,2] + ((-1)/(2))*x1_[1,2]",
+    ]
 
 
 def test_coupled_pair_realisation():
