@@ -6,7 +6,9 @@ partially defined operator action d_i(x^xi) = x^(i,xi). Relations live in
 K[jets]; non-normal jets are always rewritten through the reorder identity,
 so the presentation uses normalized jet variables only. Leader detection,
 generic prolongation, the realisation criterion, realisation itself, and
-point checks all operate on this presentation with exact arithmetic.
+point checks all operate on this presentation with exact arithmetic. The
+criterion reads the r-truncation of a length-2r kernel from the kernel's own
+leader report: its elimination order makes the truncation's report a prefix.
 """
 
 from __future__ import annotations
@@ -345,17 +347,7 @@ class Kernel:
         new.claim_routes_checked = routes_checked
         return new
 
-    # -- derived kernels ----------------------------------------------------------
-    def truncate(self, k: int) -> "Kernel":
-        if k > self.r:
-            raise SpecError("cannot truncate upward")
-        if k == self.r:
-            return self
-        rels = self.lower_order_basis(k)
-        out = Kernel(self.field, self.n, k, [], check=False)
-        out.ideal = Ideal(out.ring, [_retarget(g, out.ring) for g in rels], out._lex_order())
-        return out
-
+    # -- output -----------------------------------------------------------------
     def triangular_relations(self) -> list[str]:
         """Reduced basis for the elimination order (solved forms where possible)."""
         return [str(g) for g in self.ideal.groebner()]
@@ -395,23 +387,24 @@ class Kernel:
         return f"Kernel(n={self.n}, r={self.r}, relations={len(self.ideal.gens)})"
 
 
-def _retarget(g: Poly, dst: PolyRing) -> Poly:
-    """Restrict a polynomial to a prefix ring (its support must fit)."""
-    width = dst.nvars
-    terms = {}
-    for e, c in g.terms.items():
-        if any(e[width:]):
-            raise SpecError("polynomial does not fit the smaller ring")
-        terms[e[:width]] = c
-    return Poly(dst, terms)
-
-
 # ---------------------------------------------------------------------------
 # realisation
 # ---------------------------------------------------------------------------
 
 def realisation_criterion(kernel: Kernel, r: int) -> Verdict:
-    """Can this length-2r kernel be realised without new leaders?"""
+    """Can this length-2r kernel be realised without new leaders?
+
+    The minimal leaders of the r-truncation are read from the kernel's own
+    leader report, restricted to jets of order <= r:
+    - jets are indexed level by level and `_lex_order` makes later jets
+      biggest, so the order eliminates every jet of order > r;
+    - the basis elements in jets of order <= r are then the reduced basis of
+      I ∩ K[jets <= r], the r-truncation's ideal (Cox–Little–O'Shea §3.1);
+    - for jet idx, `leaders` reads only basis elements in jets <= idx and
+      tests membership only for polynomials in those jets, where I and
+      I ∩ K[jets <= r] agree.
+    So the truncation's report is the prefix of this one, witnesses included.
+    """
     if kernel.r != 2 * r:
         raise SpecError(f"criterion needs a kernel of length {2 * r}, got {kernel.r}")
     report = kernel.leaders()
@@ -422,7 +415,10 @@ def realisation_criterion(kernel: Kernel, r: int) -> Verdict:
     if gamma.m1 == 0 or (gamma.m1 + gamma.m2) <= 1:
         # one operator never branches; a pure HS family has no jets above order 1
         return Verdict(True)
-    low = set(kernel.truncate(r).leaders().minimal_separable)
+    low = set(dickson_minimize(
+        [(e.word, e.t) for e in report.entries if e.status == "SEPARABLE" and len(e.word) <= r],
+        gamma.m1, gamma.m2,
+    ))
     high = set(report.minimal_separable)
     if low == high:
         return Verdict(True)

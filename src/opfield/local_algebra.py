@@ -225,7 +225,9 @@ def validate(spec: dict) -> LocalAlgebra:
         if filtration[j - 1]:
             d_actual = j
 
-    # declared grades must reproduce the computed filtration
+    # declared grades must reproduce the computed filtration. Passing at
+    # j = d + 1 (m^{d+1} = 0) leaves no grade above d, and passing at j = d
+    # (m^d != 0) leaves some grade of at least d, so the largest grade is d.
     for j in range(1, d_actual + 2):
         declared = [_basis_vec(alg, p)[1:] for p in range(1, m + 1) if alg.sigma(p) >= j]
         actual = filtration[j - 1] if j - 1 < len(filtration) else []
@@ -236,12 +238,6 @@ def validate(spec: dict) -> LocalAlgebra:
                 witness=("grade-filtration", j),
                 detail="declared grades disagree with computed ideal powers",
             )
-    if m > 0 and max(grades) != d_actual:
-        raise AlgebraError(
-            "RANK_FAIL",
-            witness=("nilpotency-index", max(grades), d_actual),
-            detail="largest grade disagrees with nilpotency index",
-        )
 
     return LocalAlgebra(fs, m, grades, alg.table, d_actual)
 
@@ -353,9 +349,6 @@ class DVector:
                 base = base * base
         return result
 
-    def residue(self):
-        return self.coords[0]
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -438,11 +431,6 @@ def ext_row(alg: LocalAlgebra, p: int, q: int) -> dict:
     if p == 0 or q == 0:
         return {p + q: alg.field.one}
     return alg.rows.get((p, q), _NO_ROW)
-
-
-def ext_alpha(alg: LocalAlgebra, i: int, p: int, q: int):
-    """Structure constants extended to the unit row/column (index 0)."""
-    return ext_row(alg, p, q).get(i, alg.field.zero)
 
 
 def tensor(a: LocalAlgebra, b: LocalAlgebra) -> LocalAlgebra:

@@ -174,9 +174,6 @@ class PolyRing:
         exp[i] = 1
         return Poly(self, {tuple(exp): self.domain.one})
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -489,9 +486,6 @@ class Frac:
         if n < 0:
             return Frac(self.den, self.num) ** (-n)
         return Frac(self.num**n, self.den**n, normalize=False)
-
-    def inv(self) -> "Frac":
-        return Frac(self.den, self.num)
 
     def __bool__(self):
         return bool(self.num)

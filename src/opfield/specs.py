@@ -84,7 +84,7 @@ def dump_algebra(alg: LocalAlgebra) -> dict:
 
 def _coeff_entries(data, key) -> list:
     out = []
-    for entry in data.get(key, ()):
+    for entry in spec_json(data.get(key, []), "list", key):
         try:
             out.append((int(entry["i"]), int(entry["j"]), int(entry["l"]), entry["c"]))
         except (KeyError, TypeError, ValueError):

@@ -40,7 +40,6 @@ from opfield.indices import dominates, normal_words_upto, psi
 from opfield.kernels import Kernel, isomorphic, realisation_criterion, realize, specialize_check
 from opfield.local_algebra import (
     derivation_algebra,
-    ext_alpha,
     frobenius_assumption,
     tensor_basis_pairs,
     trivial_algebra,

@@ -27,6 +27,10 @@ RICCATI = json.loads((FIXTURES / "kernel_riccati.json").read_text())
 RICCATI_QT = json.loads((FIXTURES / "kernel_riccati_qt.json").read_text())
 
 
+def fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
 def with_dfield(kernel_spec, **fields):
     """The kernel spec with these fields of its dfield section replaced."""
     return kernel_spec | {"dfield": kernel_spec["dfield"] | fields}
@@ -143,12 +147,16 @@ def test_bad_degree_cap_is_parse_error():
         ([RICCATI["dfield"]], ["dfield", "validate"]),
         (RICCATI_QT | {"relations": ["x1_[1,9] - 1"]}, ["kernel", "leaders"]),
         (RICCATI_QT | {"relations": ["x1_[1,0] - 1"]}, ["kernel", "leaders"]),
+        (fixture("gamma_sl2.json") | {"lie": 5}, ["gamma", "check", "--all"]),
+        (fixture("gamma_iterative_2_2.json") | {"hs": 5}, ["gamma", "check"]),
+        (fixture("dfield_qt.json") | {"lie": 5}, ["dfield", "validate"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
          "kernel_relation_not_str", "kernel_n_bool", "dfield_action_list", "dfield_action_row_str",
          "dfield_char_list", "dfield_d1_int", "dfield_d1_empty", "dfield_list", "dfield_gens_str",
-         "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0"],
+         "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0",
+         "gamma_lie_int", "gamma_hs_int", "dfield_lie_int"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

@@ -328,12 +328,26 @@ def perturbed(draw, table: dict, m: int, values, skew: bool):
     return table
 
 
+# D1 shapes with indices both outside and inside the null: k[e1, e2, e3] with
+# e1 e1 = a e3 (null {2, 3}), and k[e1, .., e4] with e1 e2 = a e4 (null {3, 4})
+NULL_SHAPES = (
+    ([1, 1, 2], (1, 1, 3), (2, 3)),
+    ([1, 1, 1, 2], (1, 2, 4), (3, 4)),
+)
+
+
+def null_shape_algebra(grades, product, a):
+    p, q, i = product
+    return validate({"char": 0, "dim": len(grades) + 1, "grades": grades,
+                     "products": [{"p": p, "q": q, "coeffs": {str(i): a}}]})
+
+
 @st.composite
 def lie_systems(draw):
     """Rescaled sl2 over Q or F_3 with constant coefficients, or a Lie system
-    over Q(t) on k[e1, e2, e3]/(e1 e2, e1 e3, e2^2, ...) with e1^2 = a e3,
-    whose coefficients and derivative action are drawn; then at most one
-    coefficient perturbed. Returns (gamma, field)."""
+    over Q(t) on a `NULL_SHAPES` algebra whose coefficients (on the null) and
+    derivative action are drawn; then at most one coefficient perturbed.
+    Returns (gamma, field)."""
     if draw(st.booleans()):
         char = draw(st.sampled_from((0, 3)))
         s1, s2, s3 = (Fraction(draw(st.sampled_from((1, 2, -1, -2)))) for _ in range(3))
@@ -343,18 +357,19 @@ def lie_systems(draw):
         lie = draw(perturbed(lie, 3, ("0", "1", "-1", "2"), skew=True))
         return GammaSystem(derivation_algebra(3, char), None, lie, {}), None
     spec = FieldSpec(char=0, gens=("t",))
-    a = draw(st.sampled_from(("1", "2", "-1")))
-    d1 = validate({"char": 0, "dim": 4, "grades": [1, 1, 2],
-                   "products": [{"p": 1, "q": 1, "coeffs": {"3": a}}]})
+    grades, product, null = draw(st.sampled_from(NULL_SHAPES))
+    m = len(grades)
+    d1 = null_shape_algebra(grades, product, draw(st.sampled_from(("1", "2", "-1"))))
     lie = {}
-    for l in range(1, 4):
+    n1, n2 = null
+    for l in range(1, m + 1):
         v = draw(st.sampled_from(COEFFS_T))
-        lie[(2, 3, l)], lie[(3, 2, l)] = v, f"-({v})"
-    # entries stay in the null {2, 3} of D1, which GammaSystem requires
-    table = draw(perturbed(lie, 3, COEFFS_T, skew=True))
-    table = {k: v for k, v in table.items() if k[0] > 1 and k[1] > 1}
+        lie[(n1, n2, l)], lie[(n2, n1, l)] = v, f"-({v})"
+    # entries stay in the null of D1, which GammaSystem requires
+    table = draw(perturbed(lie, m, COEFFS_T, skew=True))
+    table = {k: v for k, v in table.items() if k[0] in null and k[1] in null}
     gamma = GammaSystem(d1, None, table, {}, spec)
-    action = {(1, p): {"t": draw(st.sampled_from(("0", "1", "t", "t^2")))} for p in range(1, 4)}
+    action = {(1, p): {"t": draw(st.sampled_from(("0", "1", "t", "t^2")))} for p in range(1, m + 1)}
     return gamma, DField(spec, gamma, action, check=False)
 
 
@@ -383,6 +398,20 @@ def test_check_jacobi_matches_dense_reference(system):
     assert _verdict_or_error(check_jacobi, gamma, field) == _verdict_or_error(dense_jacobi, gamma, field)
     # without a field, a non-constant coefficient is a SpecError on both sides
     assert _verdict_or_error(check_jacobi, gamma, None) == _verdict_or_error(dense_jacobi, gamma, None)
+
+
+def test_jacobi_identity_fails_on_a_derivative_term():
+    # index 1 is outside the null {2, 3}, so at (1, 2, 3, 2) every bracket term
+    # is 0 and the identity reads 0 = d_1 c_2^{23} = d_1 t = 1
+    d1 = null_shape_algebra([1, 1, 2], (1, 1, 3), "1")
+    spec = FieldSpec(char=0, gens=("t",))
+    gamma = GammaSystem(d1, None, {(2, 3, 2): "t", (3, 2, 2): "-t"}, {}, spec)
+    field = DField(spec, gamma, {(1, 1): {"t": "1"}})
+    want = Verdict(False, "JACOBI_IDENTITY", (1, 2, 3, 2))
+    assert check_jacobi(gamma, field) == dense_jacobi(gamma, field) == want
+    assert str(check_jacobi(gamma, field)) == "FAIL JACOBI_IDENTITY witness=(1, 2, 3, 2)"
+    with pytest.raises(SpecError, match="non-constant"):
+        check_jacobi(gamma)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from importlib.resources import files
 from math import factorial
@@ -124,11 +125,10 @@ def test_prolong_riccati_relation():
     k2.validate()  # operators stay closed on the prolonged presentation
 
 
-def test_prolong_and_truncate_share_the_field_calculus():
+def test_prolong_shares_the_field_calculus():
     k = generic_two_derivations(r=1)
     k3 = k.prolong().prolong()
     assert k3.fc is k.fc is k.field.fc
-    assert k3.truncate(2).fc is k.fc
 
 
 @pytest.mark.parametrize("name", ["kernel_riccati.json", "kernel_equal_flows.json"])
@@ -219,6 +219,56 @@ def test_criterion_detects_late_leader():
 def test_criterion_requires_even_split():
     with pytest.raises(Exception):
         realisation_criterion(riccati_kernel(), 1)
+
+
+def _seeded_kernel(seed):
+    """A kernel over one or two commuting derivations, over Q or F_3: either
+    a flow x' = f(x) (the same f, scaled, for the second derivation) prolonged
+    once, or one drawn relation among jets of order 1 and 2."""
+    rng = random.Random(seed)
+    char, m = rng.choice((0, 3)), rng.choice((1, 2))
+    field = constant_field(GammaSystem(derivation_algebra(m, char), None, {}, {}))
+    a, b, c = (rng.randint(-2, 2) for _ in range(3))
+    f = f"(({a})*x1_[]^2 + ({b})*x1_[] + ({c}))"
+    if rng.random() < 0.5:
+        rels = [f"x1_[1,1] - {f}"] + [f"x1_[1,2] - {rng.randint(1, 2)}*{f}"] * (m == 2)
+        return Kernel(field, 1, 1, rels).prolong()
+    jets = ["x1_[]", "x1_[1,1]"] + ["x1_[1,2]"] * (m == 2)
+    top = f"x1_[1,{m};1,1]"
+    low = rng.choice(jets)
+    rel = rng.choice((f"{top} - {low}^2", f"{top}*{low} - ({c})", f"{low}^2 - {top} + ({a})"))
+    return Kernel(field, 1, 2, [rel])
+
+
+def _truncation_report(kernel, r):
+    """The leader report of the r-truncation, from a kernel built afresh on
+    the text of the basis elements in jets of order <= r."""
+    rels = [str(g) for g in kernel.lower_order_basis(r)]
+    return Kernel(kernel.field, kernel.n, r, rels, check=False).leaders()
+
+
+def _entry_texts(entries):
+    return [(e.word, e.t, e.status, str(e.witness)) for e in entries]
+
+
+KERNEL_CASES = [("fixture", name) for name in sorted(p.name for p in FIXTURES.glob("kernel_*.json"))]
+KERNEL_CASES += [("seed", seed) for seed in range(16)]
+
+
+@pytest.mark.parametrize("source, key", KERNEL_CASES, ids=[f"{s}-{k}" for s, k in KERNEL_CASES])
+def test_criterion_reads_the_truncation_as_a_prefix_of_the_report(source, key):
+    k = load_kernel(FIXTURES / key) if source == "fixture" else _seeded_kernel(key)
+    for r in (1, 2):
+        while k.r < 2 * r:
+            k = k.prolong()
+        low, report = _truncation_report(k, r), k.leaders()
+        assert _entry_texts(low.entries) == _entry_texts(report.entries[: len(low.entries)])
+        # the verdict the separate truncation gives, as the criterion once built it
+        verdict = realisation_criterion(k, r)
+        if report.separable and k.gamma.m1 + k.gamma.m2 > 1:
+            assert bool(verdict) == (set(low.minimal_separable) == set(report.minimal_separable))
+        if not verdict:
+            return  # a kernel that fails the criterion is not prolonged further
 
 
 def test_realize_riccati_matches_oracle():

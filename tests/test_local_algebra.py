@@ -316,7 +316,7 @@ def two_variable_spec(order, a, b, char):
 def algebra_specs(draw):
     """A truncation, derivation, dual-number, two-factor tensor or two-variable
     algebra in char 0, 2 or 3, as a spec with at most one structure constant
-    perturbed (or its last grade raised, or every grade set to 1)."""
+    perturbed (or its largest grade raised or lowered, or every grade set to 1)."""
     char = draw(st.sampled_from((0, 2, 3)))
     small = st.sampled_from((
         lambda: dual_numbers(char),
@@ -343,8 +343,12 @@ def algebra_specs(draw):
         i = draw(st.sampled_from(sorted(e["coeffs"])))
         spec["products"].append({"p": e["q"], "q": e["p"], "coeffs": {i: draw(value)}})
     elif how == "regrade" and m:  # wrong grades instead of a wrong constant
-        if draw(st.booleans()):
-            spec["grades"][-1] += 1
+        grades, top = spec["grades"], max(spec["grades"])
+        regrade = draw(st.sampled_from(("raise", "lower", "flat")))
+        if regrade == "raise":
+            grades[-1] += 1
+        elif regrade == "lower" and top > 1:  # every largest grade, so they stay sorted
+            spec["grades"] = [g - 1 if g == top else g for g in grades]
         else:
             spec["grades"] = [1] * m
     elif how != "none" and m:

@@ -1,0 +1,128 @@
+"""Report pins: the sha256 of the exit code, stdout and stderr of a fixed list
+of in-process CLI calls, each in text and in json format.
+
+The calls cover every fixture's validator, `free table` and `spec canonical`,
+the kernel commands on the four kernel fixtures, and one input per FAIL code
+of the checks that a refactor is most likely to touch. A change that must not
+alter any report keeps every pin. After an intended output change, re-record
+with `PYTHONPATH=src python tests/test_report_pins.py --record`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from importlib.resources import files
+from pathlib import Path
+
+from opfield.cli import main
+
+FIXTURES = Path(str(files("opfield") / "fixtures"))
+PINS = Path(__file__).resolve().parent / "report_pins.json"
+FORMATS = ("text", "json")
+
+
+def _fixture_calls():
+    calls = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        kind, f = path.stem.split("_")[0], str(path)
+        if kind == "algebra":
+            calls.append(["algebra", "validate", f])
+        elif kind == "dfield":
+            calls.append(["dfield", "validate", f])
+        elif kind == "gamma":
+            calls += [["gamma", "check", f] + mode for mode in ([], ["--jacobi"], ["--assoc"])]
+        else:
+            calls += [
+                ["kernel", "leaders", f],
+                ["kernel", "leaders", f, "--radical-spot-check"],
+                ["kernel", "prolong", f, "--steps", "2"],
+                ["kernel", "realize", f, "--r", "1", "--order", "4"],
+                ["kernel", "realize", f, "--r", "2", "--order", "6"],
+            ]
+        if kind in ("dfield", "gamma"):
+            calls.append(["free", "table", "--gamma", f, "--order", "2"])
+        calls.append(["spec", "canonical", f])
+    return calls
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def _fail_specs():
+    """{file name: (spec, argv before the file)}, one input per FAIL code."""
+    sl2 = _fixture("gamma_sl2.json")
+    for entry in sl2["lie"]:
+        if (entry["i"], entry["j"], entry["l"]) == (1, 2, 3):
+            entry["c"] = "2"
+    # D1 = k[e1, e2, e3] with e1*e1 = e3: the null is {2, 3}, and d_1 t = 1
+    # makes d_1 c_2^{23} = 1 the only nonzero term of the identity at (1, 2, 3, 2)
+    d_term = {
+        "char": 0, "gens": ["t"], "action": {"t": {"1,1": "1"}},
+        "d1": {"char": 0, "dim": 4, "grades": [1, 1, 2],
+               "products": [{"p": 1, "q": 1, "coeffs": {"3": "1"}}]},
+        "lie": [{"i": 2, "j": 3, "l": 2, "c": "t"}, {"i": 3, "j": 2, "l": 2, "c": "-t"}],
+    }
+    hom = _fixture("gamma_iterative_2_2.json")
+    hom["hs"] = hom["hs"][:1]
+    assoc = _fixture("gamma_iterative_2_2.json")
+    assoc["hs"].append({"i": 2, "j": 3, "l": 1, "c": "1"})
+    grade = {"char": 0, "dim": 3, "grades": [1, 2], "products": []}
+    new_leader = _fixture("kernel_equal_flows.json") | {"r": 2, "relations": ["x1_[1,1;1,2]"]}
+    return {
+        "jacobi_skew.json": (sl2, ["gamma", "check"]),
+        "jacobi_identity_d_term.json": (d_term, ["gamma", "check", "--jacobi"]),
+        "hom_fail.json": (hom, ["gamma", "check"]),
+        "assoc_identity.json": (assoc, ["gamma", "check", "--assoc"]),
+        "grade_filtration.json": (grade, ["algebra", "validate"]),
+        "new_minimal_leader.json": (new_leader, ["kernel", "realize", "--r", "1", "--order", "2"]),
+    }
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digests(tmp_path) -> dict:
+    """{call label: sha256 of [exit code, stdout, stderr]}, with the fixture
+    directory and `tmp_path` written as placeholders."""
+    calls = _fixture_calls()
+    for name, (spec, argv) in _fail_specs().items():
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        calls.append(argv + [str(path)])
+    places = ((str(FIXTURES), "<fixtures>"), (str(tmp_path), "<tmp>"))
+    out = {}
+    for argv in calls:
+        for fmt in FORMATS:
+            full = ["--format", fmt] + argv
+            text = json.dumps(_run(full))
+            for path, placeholder in places:
+                text = text.replace(path, placeholder)
+            label = " ".join(full)
+            for path, placeholder in places:
+                label = label.replace(path, placeholder)
+            out[label] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_reports_match_pins(tmp_path):
+    pins = json.loads(PINS.read_text())
+    got = digests(tmp_path)
+    assert sorted(got) == sorted(pins), "the call list differs from the pinned one"
+    changed = [label for label in pins if got[label] != pins[label]]
+    assert not changed, "reports changed for: " + "; ".join(changed)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_report_pins.py --record")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        PINS.write_text(json.dumps(digests(Path(tmp)), indent=1, sort_keys=True) + "\n")
