@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .commutation import check_all, check_associative, check_jacobi
+from .commutation import Verdict, check_all, check_associative, check_jacobi
 from .dfields import GammaFail
 from .groebner import DegreeCapExceeded
 from .indices import normal_words_upto
@@ -81,12 +81,7 @@ def cmd_algebra_validate(args) -> int:
     try:
         alg = load_algebra(args.file)
     except AlgebraError as e:
-        report.put("status", "FAIL")
-        report.put("code", e.code)
-        if e.witness is not None:
-            report.put("witness", list(map(str, e.witness)))
-        report.emit()
-        return FAIL
+        return _verdict_exit(report, Verdict(False, e.code, e.witness))
     report.put("status", "PASS")
     report.put("dim", alg.dim)
     report.put("grades", list(alg.grades))
@@ -135,11 +130,7 @@ def cmd_dfield_validate(args) -> int:
     try:
         field = load_dfield(args.file)
     except GammaFail as e:
-        report.put("status", "FAIL")
-        report.put("code", "GAMMA_FAIL")
-        report.put("witness", [str(w) for w in e.witness])
-        report.emit()
-        return FAIL
+        return _verdict_exit(report, Verdict(False, "GAMMA_FAIL", e.witness))
     report.put("status", "PASS")
     report.put("gens", list(field.spec.gens))
     report.put("operators", [f"{u},{i}" for (u, i) in field.ops])
@@ -353,16 +344,10 @@ def main(argv=None) -> int:
         print(f"opfield {args.command}: reading {', '.join(inputs) or 'stdin-free arguments'}", file=sys.stderr)
     try:
         return args.handler(args)
-    except (SpecFileError, ParseError, SpecError) as e:
+    except (SpecFileError, ParseError, SpecError, FileNotFoundError) as e:
         print(f"PARSE_ERROR: {e}", file=sys.stderr)
         return BAD_INPUT
-    except (AlgebraError, GammaFail, KernelError) as e:
+    except (AlgebraError, GammaFail, KernelError, DegreeCapExceeded) as e:
         print(f"FAIL: {e}", file=sys.stderr)
         return FAIL
-    except DegreeCapExceeded as e:
-        print(f"FAIL: {e}", file=sys.stderr)
-        return FAIL
-    except FileNotFoundError as e:
-        print(f"PARSE_ERROR: {e}", file=sys.stderr)
-        return BAD_INPUT
 

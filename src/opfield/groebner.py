@@ -198,6 +198,20 @@ class Ideal:
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
 
+    def saturate(self, f: Poly) -> tuple[Poly, ...]:
+        """The reduced basis of I : f^∞ in the ideal's order, which must be lex.
+
+        Rabinowitsch: a new variable y, biggest ahead of the ideal's priority,
+        and the generator 1 - y*f; the basis elements free of y eliminate it
+        (Cox–Little–O'Shea §4.4). I : f^∞ is the unit ideal iff f lies in the
+        radical of I."""
+        ext = self.ring.extend(("__sat__",))
+        y = ext.nvars - 1
+        gens = [ext.lift(g) for g in self.groebner()] + [ext.one - ext.var(y) * ext.lift(f)]
+        basis = buchberger(gens, Lex((y,) + self.order.priority))
+        return tuple(Poly(self.ring, {e[:y]: c for e, c in g.terms.items()})
+                     for g in basis if not g.degree_in(y))
+
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return NotImplemented
@@ -209,23 +223,17 @@ class Ideal:
 def min_poly(v: int, ideal: Ideal, predecessors: set[int]) -> Poly | None:
     """Minimal-degree relation of variable `v` over `predecessors` modulo the ideal.
 
-    Returns a polynomial in v and the predecessors, of minimal positive
-    v-degree in the elimination ideal, or None when v stays transcendental.
-    The relation ideal is assumed prime (caller obligation); the minimal
-    lex basis element then realizes the minimal polynomial degree.
+    Returns the first element of the reduced basis, under lex with v above
+    the predecessors and below every other variable, of least positive
+    v-degree in v and the predecessors; None when v stays transcendental.
+    Its leading v-coefficient is never in the ideal. When the relation ideal
+    is prime (caller obligation), it realizes the minimal polynomial degree.
     """
     ring = ideal.ring
     allowed = set(predecessors) | {v}
     others = sorted((i for i in range(ring.nvars) if i not in allowed), reverse=True)
     preds = sorted(predecessors, reverse=True)
-    order = Lex(tuple(others + [v] + preds))
-    basis = ideal.groebner(order)
-    candidates = [
-        g
-        for g in basis
-        if g.variables() <= allowed and g.degree_in(v) > 0
-    ]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda g: (g.degree_in(v), order.key(g.lm(order))))
-    return candidates[0]
+    basis = ideal.groebner(Lex(tuple(others + [v] + preds)))
+    # the basis is sorted by leading monomial, and min keeps the first of a tie
+    candidates = [g for g in basis if g.variables() <= allowed and g.degree_in(v) > 0]
+    return min(candidates, key=lambda g: g.degree_in(v), default=None)

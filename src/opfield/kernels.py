@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 
 from .commutation import Verdict
 from .dfields import DField, ehom_frac, solve_by_grade
-from .groebner import Ideal, Lex, normal_form_list
+from .groebner import Ideal, Lex, min_poly, normal_form_list
 from .indices import Word, chi, dickson_minimize, normal_words, op_key, rho, tri_key
 from .local_algebra import DVector, frobenius_assumption
 from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
@@ -217,30 +218,29 @@ class Kernel:
 
     # -- leaders ----------------------------------------------------------------
     def leaders(self) -> LeaderReport:
+        """Each jet's status, read off the reduced lex basis G of the ideal I.
+
+        For jet v, `min_poly` gives the first g in G with top variable v and
+        least v-degree d, the witness; v is FREE when there is none, else
+        SEPARABLE when ∂g/∂v != 0 and INSEPARABLE when it is 0. No membership
+        test is needed, whether or not I is prime:
+        - `_lex_order` makes later jets biggest, so G ∩ K[x<=v] is a reduced
+          basis of I ∩ K[x<=v] (Cox–Little–O'Shea §3.1);
+        - lc_v(g) ∉ I: else lm(h) divides lm(lc_v(g)) for some h in
+          G ∩ K[x<v], so h divides lm(g) = v^d lm(lc_v(g)): G is not reduced;
+        - ∂g/∂v ∈ I only if ∂g/∂v = 0, in every characteristic: a nonzero
+          ∂g/∂v has lead v^e lm(c_{e+1}) with e < d. An h in G dividing it
+          has top variable v and v-degree <= e < d, against the minimality of
+          d, or lies in K[x<v] and divides the monomial v^{e+1} lm(c_{e+1})
+          of g, against reducedness.
+        """
         if self._leader_report is not None:
             return self._leader_report
-        basis = self.ideal.groebner()
         entries = []
         for idx, (word, t) in enumerate(self.jets):
-            allowed = set(range(idx + 1))
-            candidates = [
-                g for g in basis if g.variables() <= allowed and g.degree_in(idx) > 0
-            ]
-            info = LeaderInfo(word, t, "FREE")
-            if candidates:
-                candidates.sort(key=lambda g: g.degree_in(idx))
-                chosen = None
-                for g in candidates:
-                    lc = self._leading_v_coeff(g, idx)
-                    if not self.ideal.contains(lc):
-                        chosen = g
-                        break
-                if chosen is None:
-                    chosen = candidates[0]  # relation ideal was not prime
-                dv = chosen.deriv(idx)
-                status = "INSEPARABLE" if self.ideal.contains(dv) else "SEPARABLE"
-                info = LeaderInfo(word, t, status, chosen)
-            entries.append(info)
+            g = min_poly(idx, self.ideal, set(range(idx)))
+            status = "FREE" if g is None else "SEPARABLE" if g.deriv(idx) else "INSEPARABLE"
+            entries.append(LeaderInfo(word, t, status, g))
         seps = [(e.word, e.t) for e in entries if e.status == "SEPARABLE"]
         insep = [(e.word, e.t) for e in entries if e.status == "INSEPARABLE"]
         minimal = dickson_minimize(seps, self.gamma.m1, self.gamma.m2)
@@ -270,7 +270,10 @@ class Kernel:
         involves no later jet. Solved values must agree with the correction
         term wherever an operator word collapses, and all routes to a jet of
         order r + 1 must agree modulo the old ideal; the first route then
-        gives the jet's new relation.
+        gives the jet's new relation, its denominator cleared. When a cleared
+        denominator is not constant, the new ideal is saturated by their
+        product, and the saturation's new basis elements follow the
+        generators.
         """
         s = self.r
         char = self.field.spec.char
@@ -319,6 +322,7 @@ class Kernel:
                     )
 
         new_rels: list[Poly] = []
+        dens: list[Poly] = []  # the non-constant denominators cleared
         routes_checked = 0
         for t in range(1, self.n + 1):
             for mu in normal_words(self.gamma.m1, self.gamma.m2, s + 1):
@@ -341,9 +345,15 @@ class Kernel:
                 rel = new.jet_var(t, mu).num * values[0].den - values[0].num
                 if rel:
                     new_rels.append(rel)
+                if not values[0].den.is_const():
+                    dens.append(values[0].den)
 
         gens = [ring.lift(g) for g in self.ideal.gens] + new_rels
         new.ideal = Ideal(ring, gens, order)
+        if dens:  # units of the kernel's field, not of its ring
+            saturated = new.ideal.saturate(prod(dens[1:], start=dens[0]))
+            extra = [g for g in saturated if not new.ideal.contains(g)]
+            new.ideal = Ideal(ring, gens + extra, order)
         new.claim_routes_checked = routes_checked
         return new
 
@@ -354,19 +364,14 @@ class Kernel:
 
     # -- diagnostics ------------------------------------------------------------
     def in_radical(self, f: Poly) -> bool:
-        """Radical membership via the auxiliary-variable localization trick."""
-        if self.ideal.contains(f):
-            return True
-        ext = self.ring.extend(("__rad__",))
-        y = ext.var(ext.nvars - 1)
-        gens = [ext.lift(g) for g in self.ideal.gens]
-        gens.append(ext.one - y * ext.lift(f))
-        basis = Ideal(ext, gens).groebner()
-        return len(basis) == 1 and basis[0].is_const()
+        """Radical membership: I : f^∞ is the unit ideal."""
+        return any(g.is_const() for g in self.ideal.saturate(f))
 
     def radical_diagnostic(self) -> list[str]:
         """Primality is assumed, never verified; this spot-check flags leader
-        classifications whose crucial non-membership fails radically."""
+        classifications whose crucial non-membership fails radically. Neither
+        a nonzero leading coefficient nor a nonzero separant of a witness lies
+        in the ideal (see `leaders`)."""
         warnings = []
         for info in self.leaders().entries:
             if not info.is_leader:
@@ -376,7 +381,7 @@ class Kernel:
                 ("leading-coefficient", self._leading_v_coeff(info.witness, idx)),
                 ("separant", info.witness.deriv(idx)),
             ):
-                if poly and not self.ideal.contains(poly) and self.in_radical(poly):
+                if poly and self.in_radical(poly):
                     warnings.append(
                         f"{jet_name(info.t, info.word)}: {label} lies in the radical "
                         "but not the ideal; the presentation is not prime"
@@ -400,9 +405,7 @@ def realisation_criterion(kernel: Kernel, r: int) -> Verdict:
       biggest, so the order eliminates every jet of order > r;
     - the basis elements in jets of order <= r are then the reduced basis of
       I ∩ K[jets <= r], the r-truncation's ideal (Cox–Little–O'Shea §3.1);
-    - for jet idx, `leaders` reads only basis elements in jets <= idx and
-      tests membership only for polynomials in those jets, where I and
-      I ∩ K[jets <= r] agree.
+    - for jet idx, `leaders` reads only basis elements in jets <= idx.
     So the truncation's report is the prefix of this one, witnesses included.
     """
     if kernel.r != 2 * r:

@@ -116,6 +116,37 @@ def test_bad_degree_cap_is_parse_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_kernel_realize_saturates_cleared_denominators(tmp_path, capsys):
+    # x = (s + t)^2 / 4 under d_s, d_t solves (x')^2 = x, d2 x = d1 x; solving
+    # the second derivatives divides by x1_[1,1]
+    spec = fixture("kernel_equal_flows.json") | {"relations": ["x1_[1,1]^2 - x1_[]", "x1_[1,2] - x1_[1,1]"]}
+    path = tmp_path / "sqrt_flow.json"
+    path.write_text(json.dumps(spec))
+    for order in (4, 5):
+        code, data = run_json(["kernel", "realize", str(path), "--r", "1", "--order", str(order)], capsys)
+        assert code == 0 and data["order"] == order
+        assert "x1_[1,2;1,2] + ((-1)/(2))" in data["relations"]
+    prolonged = tmp_path / "prolonged.json"
+    assert main(["kernel", "prolong", str(path), "-o", str(prolonged)]) == 0
+    code, data = run_json(["kernel", "leaders", str(prolonged)], capsys)
+    assert code == 0 and data["minimal_separable"] == ["x1_[1,1]", "x1_[1,2]"]
+
+
+def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
+    # x' y' = 1 and y' = x'^2 reduce to x'^3 - 1, beyond a cap of 1
+    path = tmp_path / "capped.json"
+    rels = ["x1_[1,1]*x2_[1,1] - 1", "x1_[1,1]^2 - x2_[1,1]"]
+    path.write_text(json.dumps(RICCATI | {"n": 2, "relations": rels}))
+    monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "1")
+    assert main(["kernel", "leaders", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL: Gröbner computation produced degree")
+    assert "beyond cap 1" in captured.err
+    monkeypatch.delenv("WORKBENCH_GB_DEGREE_CAP")
+    assert main(["kernel", "leaders", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "spec, argv",
     [

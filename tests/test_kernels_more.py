@@ -41,7 +41,9 @@ def test_incompatible_flow_with_correction_term():
 def test_later_leader_uses_solved_values_of_earlier_leaders():
     # d1 x = y with y^2 = x, d2 x = y: the witness of the leader x1_[1,2]
     # involves the earlier leader x1_[1,1], so its derivatives must be solved
-    # from x1_[1,1]'s solved values, not from the free top-order jets
+    # from x1_[1,1]'s solved values, not from the free top-order jets. The
+    # cleared denominator x1_[1,1] is saturated away: the last two
+    # generators hold only where x1_[1,1] != 0, which the field ensures
     k = Kernel(constant_field(two_derivations()), 1, 1, ["x1_[1,1]^2 - x1_[]", "x1_[1,2] - x1_[1,1]"])
     k2 = k.prolong()
     assert k2.claim_routes_checked == 1
@@ -51,7 +53,10 @@ def test_later_leader_uses_solved_values_of_earlier_leaders():
         "x1_[1,1;1,1] + ((-1)/(2))",
         "x1_[1,1]*x1_[1,2;1,1] + ((-1)/(2))*x1_[1,2]",
         "x1_[1,1]*x1_[1,2;1,2] + ((-1)/(2))*x1_[1,2]",
+        "x1_[1,2;1,1] + ((-1)/(2))",
+        "x1_[1,2;1,2] + ((-1)/(2))",
     ]
+    k2.validate()
 
 
 def test_coupled_pair_realisation():

@@ -3,7 +3,8 @@ of in-process CLI calls, each in text and in json format.
 
 The calls cover every fixture's validator, `free table` and `spec canonical`,
 the kernel commands on the four kernel fixtures, and one input per FAIL code
-of the checks that a refactor is most likely to touch. A change that must not
+of the checks that a refactor is most likely to touch, with the leader
+reports of an inseparable and of a non-prime kernel. A change that must not
 alter any report keeps every pin. After an intended output change, re-record
 with `PYTHONPATH=src python tests/test_report_pins.py --record`.
 """
@@ -52,7 +53,9 @@ def _fixture(name):
 
 
 def _fail_specs():
-    """{file name: (spec, argv before the file)}, one input per FAIL code."""
+    """[(file name, spec, argv before the file)]: one input per FAIL code, and
+    the kernels whose leader reports read an INSEPARABLE entry or print a
+    radical warning."""
     sl2 = _fixture("gamma_sl2.json")
     for entry in sl2["lie"]:
         if (entry["i"], entry["j"], entry["l"]) == (1, 2, 3):
@@ -71,14 +74,50 @@ def _fail_specs():
     assoc["hs"].append({"i": 2, "j": 3, "l": 1, "c": "1"})
     grade = {"char": 0, "dim": 3, "grades": [1, 2], "products": []}
     new_leader = _fixture("kernel_equal_flows.json") | {"r": 2, "relations": ["x1_[1,1;1,2]"]}
-    return {
-        "jacobi_skew.json": (sl2, ["gamma", "check"]),
-        "jacobi_identity_d_term.json": (d_term, ["gamma", "check", "--jacobi"]),
-        "hom_fail.json": (hom, ["gamma", "check"]),
-        "assoc_identity.json": (assoc, ["gamma", "check", "--assoc"]),
-        "grade_filtration.json": (grade, ["algebra", "validate"]),
-        "new_minimal_leader.json": (new_leader, ["kernel", "realize", "--r", "1", "--order", "2"]),
-    }
+    e1 = {"p": 1, "q": 1, "coeffs": {"2": "1"}}
+    e12 = {"p": 1, "q": 2, "coeffs": {"3": "1"}}
+    not_local = {"char": 0, "dim": 3, "grades": [1, 2],
+                 "products": [{"p": 1, "q": 1, "coeffs": {"0": "1", "2": "1"}}]}
+    # k[e]/(e^4) with e_2 e_1 given as 0 while e_1 e_2 = e_3
+    comm = {"char": 0, "dim": 4, "grades": [1, 2, 3],
+            "products": [e1, e12, {"p": 2, "q": 1, "coeffs": {"3": "0"}}]}
+    # k[e]/(e^5) with e_2 e_2 doubled: (e_1 e_1) e_2 != e_1 (e_1 e_2)
+    assoc_alg = {"char": 0, "dim": 5, "grades": [1, 2, 3, 4],
+                 "products": [e1, e12, {"p": 1, "q": 3, "coeffs": {"4": "1"}},
+                              {"p": 2, "q": 2, "coeffs": {"4": "2"}}]}
+    # d1 t = s, d2 s = 1: [d1, d2] t = -1 while the bracket is zero
+    dfield_bad = {"char": 0, "gens": ["s", "t"],
+                  "d1": {"char": 0, "dim": 3, "grades": [1, 1], "products": []},
+                  "action": {"t": {"1,1": "s"}, "s": {"1,2": "1"}}}
+    f2_dual = {"char": 2, "dim": 2, "grades": [1], "products": []}
+    # x^2 = t with dt = 0 over F_2(t): the separant 2x vanishes
+    inseparable = {"dfield": {"char": 2, "gens": ["t"], "d1": f2_dual, "action": {}},
+                   "n": 1, "r": 1, "relations": ["x1_[]^2 - t"]}
+    # (x')^2 = 0: the separant 2x' lies in the radical but not the ideal
+    non_prime = _fixture("kernel_riccati.json") | {"relations": ["x1_[1,1]^2"]}
+    # one HS operator over F_2[e]/(e^2) squares to zero, so d x = x collapses
+    hs_collapse = {"dfield": {"char": 2, "gens": [], "action": {}, "lie": [], "hs": [],
+                              "d1": {"char": 2, "dim": 1, "grades": [], "products": []},
+                              "d2": f2_dual},
+                   "n": 1, "r": 1, "relations": ["x1_[2,1] - x1_[]"]}
+    leaders = ["kernel", "leaders"]
+    return [
+        ("jacobi_skew.json", sl2, ["gamma", "check"]),
+        ("jacobi_identity_d_term.json", d_term, ["gamma", "check", "--jacobi"]),
+        ("hom_fail.json", hom, ["gamma", "check"]),
+        ("assoc_identity.json", assoc, ["gamma", "check", "--assoc"]),
+        ("grade_filtration.json", grade, ["algebra", "validate"]),
+        ("new_minimal_leader.json", new_leader, ["kernel", "realize", "--r", "1", "--order", "2"]),
+        ("not_local.json", not_local, ["algebra", "validate"]),
+        ("comm_fail.json", comm, ["algebra", "validate"]),
+        ("assoc_fail.json", assoc_alg, ["algebra", "validate"]),
+        ("dfield_bad.json", dfield_bad, ["dfield", "validate"]),
+        ("inseparable_f2t.json", inseparable, leaders),
+        ("inseparable_f2t.json", inseparable, leaders + ["--radical-spot-check"]),
+        ("non_prime.json", non_prime, leaders),
+        ("non_prime.json", non_prime, leaders + ["--radical-spot-check"]),
+        ("hs_collapse.json", hs_collapse, ["kernel", "prolong"]),
+    ]
 
 
 def _run(argv):
@@ -92,7 +131,7 @@ def digests(tmp_path) -> dict:
     """{call label: sha256 of [exit code, stdout, stderr]}, with the fixture
     directory and `tmp_path` written as placeholders."""
     calls = _fixture_calls()
-    for name, (spec, argv) in _fail_specs().items():
+    for name, spec, argv in _fail_specs():
         path = tmp_path / name
         path.write_text(json.dumps(spec))
         calls.append(argv + [str(path)])
