@@ -26,7 +26,7 @@ from .dfields import (
     extend_separable,
 )
 from .free_module import FreeCalculus
-from .groebner import DegreeCapExceeded, Ideal, min_poly
+from .groebner import DegreeCapExceeded, Ideal
 from .kernels import (
     Kernel,
     KernelError,
@@ -89,7 +89,6 @@ __all__ = [
     "hs_tensor_reduce",
     "isomorphic",
     "iterative_hs_coeffs",
-    "min_poly",
     "null_set",
     "realisation_criterion",
     "realize",

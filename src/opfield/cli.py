@@ -154,6 +154,8 @@ def cmd_dfield_apply(args) -> int:
 
 
 def cmd_free_table(args) -> int:
+    if args.order < 0:
+        raise SpecError(f"--order must be non-negative, got {args.order}")
     field = load_gamma(args.gamma)
     gamma, fc = field.gamma, field.fc
     entries = []
@@ -199,6 +201,8 @@ def cmd_kernel_leaders(args) -> int:
 
 
 def cmd_kernel_prolong(args) -> int:
+    if args.steps < 0:
+        raise SpecError(f"--steps must be non-negative, got {args.steps}")
     kernel = load_kernel(args.file)
     for _ in range(args.steps):
         kernel = kernel.prolong()

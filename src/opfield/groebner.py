@@ -1,4 +1,4 @@
-"""Buchberger Gröbner engine: membership, elimination, minimal polynomials.
+"""Buchberger Gröbner engine: reduced bases, membership, elimination.
 
 Deliberately small: normal-pair criteria only, no F4/F5. Critical pairs wait
 in a heap keyed on the order key of their lcm (ties broken by index), and each
@@ -8,9 +8,9 @@ configurable through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts
 runaway computations with a clean error.
 
 Any Gröbner basis decides ideal membership, whatever its order, so an `Ideal`
-keeps one order of its own for membership and normal forms. Kernel ideals use
-their elimination lex order: the basis that leader detection needs anyway is
-also the one every membership test reduces against.
+keeps one order and one cached basis for membership and normal forms. Kernel
+ideals use their elimination lex order: the basis that leader detection reads
+is also the one every membership test reduces against.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ def _degree_cap() -> int:
     if raw is None:
         return DEFAULT_DEGREE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise SpecError(f"WORKBENCH_GB_DEGREE_CAP must be an integer, got {raw!r}") from None
+        cap = -1
+    if cap < 0:
+        raise SpecError(f"WORKBENCH_GB_DEGREE_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -167,12 +170,13 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
 
 
 class Ideal:
-    """Generator list with cached reduced Gröbner bases keyed by order.
+    """Generator list with its reduced Gröbner basis in one order, cached.
 
-    `order` (default: grevlex) is the one membership and normal forms use.
+    `order` (default: grevlex) is the one the basis, membership and normal
+    forms use.
     """
 
-    __slots__ = ("ring", "gens", "order", "_bases")
+    __slots__ = ("ring", "gens", "order", "_basis")
 
     def __init__(self, ring: PolyRing, gens=(), order=None):
         self.ring = ring
@@ -181,19 +185,15 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self.order = order or GREVLEX
-        self._bases: dict = {}
+        self._basis: tuple[Poly, ...] | None = None
 
-    def groebner(self, order=None) -> tuple[Poly, ...]:
-        order = order or self.order
-        basis = self._bases.get(order)
-        if basis is None:
-            basis = buchberger(self.gens, order)
-            self._bases[order] = basis
-        return basis
+    def groebner(self) -> tuple[Poly, ...]:
+        if self._basis is None:
+            self._basis = buchberger(self.gens, self.order)
+        return self._basis
 
-    def normal_form(self, f: Poly, order=None) -> Poly:
-        order = order or self.order
-        return normal_form_list(f, list(self.groebner(order)), order)
+    def normal_form(self, f: Poly) -> Poly:
+        return normal_form_list(f, list(self.groebner()), self.order)
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -213,27 +213,8 @@ class Ideal:
                      for g in basis if not g.degree_in(y))
 
     def __eq__(self, other):
+        """The reduced basis of an ideal in one order is unique (Cox–Little–O'Shea §2.7)."""
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return NotImplemented
-        return all(other.contains(g) for g in self.gens) and all(
-            self.contains(g) for g in other.gens
-        )
-
-
-def min_poly(v: int, ideal: Ideal, predecessors: set[int]) -> Poly | None:
-    """Minimal-degree relation of variable `v` over `predecessors` modulo the ideal.
-
-    Returns the first element of the reduced basis, under lex with v above
-    the predecessors and below every other variable, of least positive
-    v-degree in v and the predecessors; None when v stays transcendental.
-    Its leading v-coefficient is never in the ideal. When the relation ideal
-    is prime (caller obligation), it realizes the minimal polynomial degree.
-    """
-    ring = ideal.ring
-    allowed = set(predecessors) | {v}
-    others = sorted((i for i in range(ring.nvars) if i not in allowed), reverse=True)
-    preds = sorted(predecessors, reverse=True)
-    basis = ideal.groebner(Lex(tuple(others + [v] + preds)))
-    # the basis is sorted by leading monomial, and min keeps the first of a tie
-    candidates = [g for g in basis if g.variables() <= allowed and g.degree_in(v) > 0]
-    return min(candidates, key=lambda g: g.degree_in(v), default=None)
+        same = other if other.order == self.order else Ideal(other.ring, other.gens, self.order)
+        return self.groebner() == same.groebner()

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import takewhile
 from math import prod
 
 from .commutation import Verdict
 from .dfields import DField, ehom_frac, solve_by_grade
-from .groebner import Ideal, Lex, min_poly, normal_form_list
+from .groebner import Ideal, Lex, normal_form_list
 from .indices import Word, chi, dickson_minimize, normal_words, op_key, rho, tri_key
 from .local_algebra import DVector, frobenius_assumption
 from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
@@ -190,11 +191,13 @@ class Kernel:
 
     # -- validation -----------------------------------------------------------
     def lower_order_basis(self, order_bound: int) -> list[Poly]:
-        """Lex-basis elements supported on jets of order <= order_bound."""
+        """Lex-basis elements supported on jets of order <= order_bound.
+
+        Jets are indexed level by level and the basis is sorted by top jet
+        (see `leaders`), so these elements are a prefix of the basis."""
+        count = sum(len(w) <= order_bound for w, _ in self.jets)
         basis = self.ideal.groebner()
-        cutoff = [k for k, (w, t) in enumerate(self.jets) if len(w) <= order_bound]
-        allowed = set(cutoff)
-        return [g for g in basis if g.variables() <= allowed]
+        return list(takewhile(lambda g: max(g.variables(), default=-1) < count, basis))
 
     def _lex_order(self) -> Lex:
         """The ideal's order: lex with later jets biggest, an elimination order.
@@ -220,12 +223,14 @@ class Kernel:
     def leaders(self) -> LeaderReport:
         """Each jet's status, read off the reduced lex basis G of the ideal I.
 
-        For jet v, `min_poly` gives the first g in G with top variable v and
-        least v-degree d, the witness; v is FREE when there is none, else
-        SEPARABLE when ∂g/∂v != 0 and INSEPARABLE when it is 0. No membership
-        test is needed, whether or not I is prime:
-        - `_lex_order` makes later jets biggest, so G ∩ K[x<=v] is a reduced
-          basis of I ∩ K[x<=v] (Cox–Little–O'Shea §3.1);
+        The witness for jet v is the first g in G with top variable v; v is
+        FREE when there is none, else SEPARABLE when ∂g/∂v != 0 and
+        INSEPARABLE when it is 0. `_lex_order` makes later jets biggest, and
+        G is sorted by lex leading monomial, whose top variable is g's own at
+        its full degree: the elements with top variable v form one run,
+        ordered by v-degree first, so g has the least v-degree d among them.
+        No membership test is needed, whether or not I is prime:
+        - G ∩ K[x<=v] is a reduced basis of I ∩ K[x<=v] (Cox–Little–O'Shea §3.1);
         - lc_v(g) ∉ I: else lm(h) divides lm(lc_v(g)) for some h in
           G ∩ K[x<v], so h divides lm(g) = v^d lm(lc_v(g)): G is not reduced;
         - ∂g/∂v ∈ I only if ∂g/∂v = 0, in every characteristic: a nonzero
@@ -236,9 +241,13 @@ class Kernel:
         """
         if self._leader_report is not None:
             return self._leader_report
+        witnesses: dict[int, Poly] = {}
+        for g in self.ideal.groebner():
+            if not g.is_const():
+                witnesses.setdefault(max(g.variables()), g)
         entries = []
         for idx, (word, t) in enumerate(self.jets):
-            g = min_poly(idx, self.ideal, set(range(idx)))
+            g = witnesses.get(idx)
             status = "FREE" if g is None else "SEPARABLE" if g.deriv(idx) else "INSEPARABLE"
             entries.append(LeaderInfo(word, t, status, g))
         seps = [(e.word, e.t) for e in entries if e.status == "SEPARABLE"]

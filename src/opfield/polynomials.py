@@ -42,12 +42,6 @@ class Lex:
 GREVLEX = GrevLex()
 
 
-def lex_order(ring: "PolyRing", priority=None) -> Lex:
-    if priority is None:
-        priority = tuple(range(len(ring.names) - 1, -1, -1))
-    return Lex(tuple(priority))
-
-
 # ---------------------------------------------------------------------------
 # coefficient domains
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ def test_bad_degree_cap_is_parse_error():
     assert "PARSE_ERROR" in proc.stderr and "WORKBENCH_GB_DEGREE_CAP" in proc.stderr
     assert "'abc'" in proc.stderr
     assert "Traceback" not in proc.stderr
+    realize = ["kernel", "realize", str(FIXTURES / "kernel_riccati.json"), "--r", "2", "--order", "6"]
+    proc = run_cli_process(realize, WORKBENCH_GB_DEGREE_CAP="-1")
+    assert proc.returncode == 2, proc.stderr
+    assert "PARSE_ERROR" in proc.stderr and "'-1'" in proc.stderr
 
 
 def test_kernel_realize_saturates_cleared_denominators(tmp_path, capsys):
@@ -181,13 +185,16 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
         (fixture("gamma_sl2.json") | {"lie": 5}, ["gamma", "check", "--all"]),
         (fixture("gamma_iterative_2_2.json") | {"hs": 5}, ["gamma", "check"]),
         (fixture("dfield_qt.json") | {"lie": 5}, ["dfield", "validate"]),
+        (RICCATI, ["kernel", "prolong", "--steps", "-2"]),
+        (None, ["free", "table", "--gamma", str(FIXTURES / "gamma_sl2.json"), "--order", "-1"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
          "kernel_relation_not_str", "kernel_n_bool", "dfield_action_list", "dfield_action_row_str",
          "dfield_char_list", "dfield_d1_int", "dfield_d1_empty", "dfield_list", "dfield_gens_str",
          "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0",
-         "gamma_lie_int", "gamma_hs_int", "dfield_lie_int"],
+         "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
+         "free_order_negative"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

@@ -10,11 +10,10 @@ from opfield.groebner import (
     Ideal,
     _divides,
     buchberger,
-    min_poly,
     normal_form_list,
     s_poly,
 )
-from opfield.polynomials import GREVLEX, Lex, Poly, PolyRing, ScalarDomain, lex_order
+from opfield.polynomials import GREVLEX, Lex, Poly, PolyRing, ScalarDomain
 from opfield.scalars import Fp, SpecError
 
 
@@ -41,8 +40,7 @@ def rxy():
 def test_gb_hand_example(rxy):
     # {x^2 - y, y} under lex x > y reduces to {x^2, y}
     x, y = rxy.var("x"), rxy.var("y")
-    order = lex_order(rxy, (0, 1))
-    basis = buchberger([x * x - y, y], order)
+    basis = buchberger([x * x - y, y], Lex((0, 1)))
     assert set(basis) == {x * x, y}
 
 
@@ -66,9 +64,8 @@ def test_normal_form_examples(rxy):
     assert i1.normal_form(x * x) == rxy.zero
     i2 = Ideal(rxy, [x * x])
     assert i2.normal_form(x + 1) == x + 1
-    order = lex_order(rxy, (0, 1))
-    i3 = Ideal(rxy, [x - y])
-    assert i3.normal_form(x * y, order) == y * y
+    i3 = Ideal(rxy, [x - y], Lex((0, 1)))
+    assert i3.normal_form(x * y) == y * y
 
 
 def test_membership_matches_bruteforce_oracle():
@@ -104,32 +101,6 @@ def test_fp_groebner():
     assert ideal.contains(x**4 + x * x)
 
 
-def test_min_poly_examples(rxy):
-    x, y = rxy.var("x"), rxy.var("y")
-    xi, yi = 0, 1
-    # explicit solved form
-    i1 = Ideal(rxy, [y - x * x])
-    mp = min_poly(yi, i1, {xi})
-    assert mp is not None and mp.monic() == (y - x * x).monic()
-    # no relations
-    i2 = Ideal(rxy, [])
-    assert min_poly(yi, i2, {xi}) is None
-    # elimination oracle
-    i3 = Ideal(rxy, [y * y - x])
-    mp3 = min_poly(yi, i3, {xi})
-    assert mp3 is not None and mp3.monic() == (y * y - x).monic()
-
-
-def test_min_poly_eliminates_intermediate():
-    ring = PolyRing(("x", "y", "z"))
-    x, y, z = (ring.var(v) for v in "xyz")
-    # z = y^2, y = x^2  =>  z = x^4 over predecessors {x}
-    ideal = Ideal(ring, [y - x * x, z - y * y])
-    mp = min_poly(2, ideal, {0})
-    assert mp is not None
-    assert mp.monic() == (z - x**4).monic()
-
-
 def test_degree_cap(monkeypatch, rxy):
     x, y = rxy.var("x"), rxy.var("y")
     monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "1")
@@ -146,6 +117,15 @@ def test_degree_cap_not_an_integer(monkeypatch, rxy):
         buchberger([x * y - 1, x * x - y])
 
 
+def test_degree_cap_negative(monkeypatch, rxy):
+    x, y = rxy.var("x"), rxy.var("y")
+    monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "-1")
+    with pytest.raises(SpecError, match="WORKBENCH_GB_DEGREE_CAP.*'-1'"):
+        buchberger([x * y - 1, x * x - y])
+    monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "0")
+    assert buchberger([x - y])
+
+
 def test_ideal_equality(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     a = Ideal(rxy, [x - y])
@@ -153,6 +133,12 @@ def test_ideal_equality(rxy):
     assert a == b
     c = Ideal(rxy, [x])
     assert not (a == c)
+    # different orders: each side reads the other's generators in its own order
+    lex = Ideal(rxy, [x * x - y, x * y - 1], Lex((0, 1)))
+    grevlex = Ideal(rxy, [x * y - 1, y * y * y - 1, x - y * y])
+    assert lex.groebner() != grevlex.groebner()
+    assert lex == grevlex and grevlex == lex
+    assert not (lex == Ideal(rxy, [x * x - y])) and not (Ideal(rxy, [x * x - y]) == lex)
 
 
 def test_ideal_is_unhashable(rxy):

@@ -261,6 +261,8 @@ def test_criterion_reads_the_truncation_as_a_prefix_of_the_report(source, key):
     for r in (1, 2):
         while k.r < 2 * r:
             k = k.prolong()
+        basis, prefix = k.ideal.groebner(), k.lower_order_basis(r)
+        assert list(basis[: len(prefix)]) == prefix
         low, report = _truncation_report(k, r), k.leaders()
         assert _entry_texts(low.entries) == _entry_texts(report.entries[: len(low.entries)])
         # the verdict the separate truncation gives, as the criterion once built it

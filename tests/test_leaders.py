@@ -103,7 +103,17 @@ def test_leaders_asks_the_ideal_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("leaders() asked the ideal a membership question")
 
+    calls = []
+    groebner = Ideal.groebner
+
+    def counting(ideal, *args):
+        calls.append(ideal)
+        return groebner(ideal, *args)
+
     monkeypatch.setattr(Ideal, "contains", refuse)
     monkeypatch.setattr(Ideal, "normal_form", refuse)
+    monkeypatch.setattr(Ideal, "groebner", counting)
     for k in kernels:
+        calls.clear()
         assert k.leaders().entries
+        assert len(calls) == 1 and calls[0] is k.ideal  # one pass, not one lookup per jet

@@ -12,6 +12,7 @@ from opfield.polynomials import (
     GREVLEX,
     Frac,
     FracDomain,
+    Lex,
     ParseError,
     Poly,
     PolyRing,
@@ -19,7 +20,6 @@ from opfield.polynomials import (
     _normalize,
     _normalize_general,
     exact_div,
-    lex_order,
     parse_frac,
     parse_poly,
     poly_str,
@@ -56,7 +56,7 @@ def test_grevlex_vs_lex(rxy):
     # grevlex: degree 3 term wins
     assert p.lm(GREVLEX) == (0, 3)
     # lex with x > y: x*y wins
-    assert p.lm(lex_order(rxy, (0, 1))) == (1, 1)
+    assert p.lm(Lex((0, 1))) == (1, 1)
 
 
 def test_fp_polynomials():
