@@ -7,10 +7,11 @@ for desk scale (tens of variables, single-digit degrees). A degree cap,
 configurable through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts
 runaway computations with a clean error.
 
-Any Gröbner basis decides ideal membership, whatever its order, so an `Ideal`
-keeps one order and one cached basis for membership and normal forms. Kernel
-ideals use their elimination lex order: the basis that leader detection reads
-is also the one every membership test reduces against.
+Every basis is in one order, `LEX`: lex with later variables biggest. It
+eliminates later variables first: for every k, the basis elements in
+x_0..x_k are a basis of the ideal's intersection with K[x_0..x_k]. Kernel
+jets are indexed level by level, so the one basis an `Ideal` caches is the
+one leader detection reads and every membership test reduces against.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from __future__ import annotations
 import heapq
 import os
 
-from .polynomials import GREVLEX, Lex, Poly, PolyRing
+from .polynomials import LEX, Poly, PolyRing
 from .scalars import SpecError
 
 DEFAULT_DEGREE_CAP = 12
 
 
 class DegreeCapExceeded(RuntimeError):
-    def __init__(self, degree: int, cap: int):
+    def __init__(self, degree: int, limit: int):
         super().__init__(
-            f"Gröbner computation produced degree {degree} beyond cap {cap}; "
+            f"Gröbner computation produced degree {degree} beyond cap {limit}; "
             "raise WORKBENCH_GB_DEGREE_CAP to continue"
         )
 
@@ -53,16 +54,16 @@ def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form_list(f: Poly, basis: list[Poly], order) -> Poly:
+def normal_form_list(f: Poly, basis: list[Poly]) -> Poly:
     """Full remainder of f on division by `basis`."""
     if not basis:
         return f
     ring = f.ring
-    leads = [g.lead(order) for g in basis]
+    leads = [g.lead(LEX) for g in basis]
     rem_terms: dict = {}
     work = f
     while work:
-        e, c = work.lead(order)
+        e, c = work.lead(LEX)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
                 q = tuple(a - b for a, b in zip(e, ge))
@@ -74,22 +75,21 @@ def normal_form_list(f: Poly, basis: list[Poly], order) -> Poly:
     return Poly(ring, rem_terms)
 
 
-def s_poly(f: Poly, g: Poly, order) -> Poly:
-    fe, fc = f.lead(order)
-    ge, gc = g.lead(order)
+def s_poly(f: Poly, g: Poly) -> Poly:
+    fe, fc = f.lead(LEX)
+    ge, gc = g.lead(LEX)
     l = _lcm(fe, ge)
     mf = Poly(f.ring, {tuple(a - b for a, b in zip(l, fe)): f.ring.domain.one / fc})
     mg = Poly(f.ring, {tuple(a - b for a, b in zip(l, ge)): f.ring.domain.one / gc})
     return mf * f - mg * g
 
 
-def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
+def buchberger(gens) -> tuple[Poly, ...]:
     """The unique reduced Gröbner basis of the ideal generated by `gens`."""
-    if cap is None:
-        cap = _degree_cap()
-    basis = [g.monic(order) for g in gens if g]
+    cap = _degree_cap()
+    basis = [g.monic(LEX) for g in gens if g]
     # deterministic start ordering
-    basis.sort(key=lambda g: order.key(g.lm(order)))
+    basis.sort(key=lambda g: LEX.key(g.lm(LEX)))
     # drop duplicates
     seen = []
     for g in basis:
@@ -108,11 +108,11 @@ def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
 
     def add(g: Poly) -> None:
         i = len(basis)
-        lm = g.lm(order)
+        lm = g.lm(LEX)
         basis.append(g)
         lms.append(lm)
         for j in range(i):
-            heapq.heappush(pairs, (order.key(_lcm(lm, lms[j])), i, j))
+            heapq.heappush(pairs, (LEX.key(_lcm(lm, lms[j])), i, j))
 
     for g in seen:
         add(g)
@@ -138,18 +138,18 @@ def buchberger(gens, order=GREVLEX, cap: int | None = None) -> tuple[Poly, ...]:
                     break
         if skip:
             continue
-        r = normal_form_list(s_poly(basis[i], basis[j], order), basis, order)
+        r = normal_form_list(s_poly(basis[i], basis[j]), basis)
         if r:
             if r.total_degree() > cap:
                 raise DegreeCapExceeded(r.total_degree(), cap)
-            add(r.monic(order))
-    return _reduce_basis(basis, order)
+            add(r.monic(LEX))
+    return _reduce_basis(basis)
 
 
-def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
+def _reduce_basis(basis: list[Poly]) -> tuple[Poly, ...]:
     # minimalize: drop elements whose lead is divisible by another lead
     minimal: list[Poly] = []
-    leads = [g.lm(order) for g in basis]
+    leads = [g.lm(LEX) for g in basis]
     for idx, g in enumerate(basis):
         lm = leads[idx]
         if any(
@@ -164,57 +164,50 @@ def _reduce_basis(basis: list[Poly], order) -> tuple[Poly, ...]:
     # change, and a remainder has no term any lead divides, so an element
     # stays reduced while the others are reduced after it
     for idx in range(len(minimal)):
-        minimal[idx] = normal_form_list(minimal[idx], minimal[:idx] + minimal[idx + 1 :], order)
-    minimal.sort(key=lambda g: order.key(g.lm(order)))
+        minimal[idx] = normal_form_list(minimal[idx], minimal[:idx] + minimal[idx + 1 :])
+    minimal.sort(key=lambda g: LEX.key(g.lm(LEX)))
     return tuple(minimal)
 
 
 class Ideal:
-    """Generator list with its reduced Gröbner basis in one order, cached.
+    """Generator list with its reduced Gröbner basis, cached."""
 
-    `order` (default: grevlex) is the one the basis, membership and normal
-    forms use.
-    """
+    __slots__ = ("ring", "gens", "_basis")
 
-    __slots__ = ("ring", "gens", "order", "_basis")
-
-    def __init__(self, ring: PolyRing, gens=(), order=None):
+    def __init__(self, ring: PolyRing, gens=()):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        self.order = order or GREVLEX
         self._basis: tuple[Poly, ...] | None = None
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._basis is None:
-            self._basis = buchberger(self.gens, self.order)
+            self._basis = buchberger(self.gens)
         return self._basis
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form_list(f, list(self.groebner()), self.order)
+        return normal_form_list(f, list(self.groebner()))
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
 
     def saturate(self, f: Poly) -> tuple[Poly, ...]:
-        """The reduced basis of I : f^∞ in the ideal's order, which must be lex.
+        """The reduced basis of I : f^∞.
 
-        Rabinowitsch: a new variable y, biggest ahead of the ideal's priority,
-        and the generator 1 - y*f; the basis elements free of y eliminate it
+        Rabinowitsch: a new variable y, the last and so the biggest, and the
+        generator 1 - y*f; the basis elements free of y eliminate it
         (Cox–Little–O'Shea §4.4). I : f^∞ is the unit ideal iff f lies in the
         radical of I."""
         ext = self.ring.extend(("__sat__",))
         y = ext.nvars - 1
         gens = [ext.lift(g) for g in self.groebner()] + [ext.one - ext.var(y) * ext.lift(f)]
-        basis = buchberger(gens, Lex((y,) + self.order.priority))
         return tuple(Poly(self.ring, {e[:y]: c for e, c in g.terms.items()})
-                     for g in basis if not g.degree_in(y))
+                     for g in buchberger(gens) if not g.degree_in(y))
 
     def __eq__(self, other):
-        """The reduced basis of an ideal in one order is unique (Cox–Little–O'Shea §2.7)."""
+        """The reduced basis of an ideal is unique (Cox–Little–O'Shea §2.7)."""
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return NotImplemented
-        same = other if other.order == self.order else Ideal(other.ring, other.gens, self.order)
-        return self.groebner() == same.groebner()
+        return self.groebner() == other.groebner()

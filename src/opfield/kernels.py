@@ -20,7 +20,7 @@ from math import prod
 
 from .commutation import Verdict
 from .dfields import DField, ehom_frac, solve_by_grade
-from .groebner import Ideal, Lex, normal_form_list
+from .groebner import Ideal, normal_form_list
 from .indices import Word, chi, dickson_minimize, normal_words, op_key, rho, tri_key
 from .local_algebra import DVector, frobenius_assumption
 from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
@@ -110,7 +110,7 @@ class Kernel:
                 rel = self.ring.lift(rel)
             if rel:
                 rels.append(rel)
-        self.ideal = Ideal(self.ring, rels, self._lex_order())
+        self.ideal = Ideal(self.ring, rels)
         self._leader_report: LeaderReport | None = None
         self._image_cache: dict = {}
         self.claim_routes_checked = 0
@@ -199,12 +199,6 @@ class Kernel:
         basis = self.ideal.groebner()
         return list(takewhile(lambda g: max(g.variables(), default=-1) < count, basis))
 
-    def _lex_order(self) -> Lex:
-        """The ideal's order: lex with later jets biggest, an elimination order.
-
-        Leader detection needs this basis, and any basis decides membership."""
-        return Lex(tuple(range(self.ring.nvars - 1, -1, -1)))
-
     def validate(self):
         """The operator action must send relations among lower jets into the ideal."""
         if self.r < 1:
@@ -225,7 +219,7 @@ class Kernel:
 
         The witness for jet v is the first g in G with top variable v; v is
         FREE when there is none, else SEPARABLE when ∂g/∂v != 0 and
-        INSEPARABLE when it is 0. `_lex_order` makes later jets biggest, and
+        INSEPARABLE when it is 0. The lex order makes later jets biggest, and
         G is sorted by lex leading monomial, whose top variable is g's own at
         its full degree: the elements with top variable v form one run,
         ordered by v-degree first, so g has the least v-degree d among them.
@@ -300,10 +294,9 @@ class Kernel:
         # The new jets take the highest indices, so the new lex order restricts
         # to the old one and the lifted reduced basis stays a reduced basis.
         old_gb = [ring.lift(g) for g in self.ideal.groebner()]
-        order = new._lex_order()
 
         def zero_mod_old(x: Frac) -> bool:
-            return not normal_form_list(x.num, old_gb, order)
+            return not normal_form_list(x.num, old_gb)
 
         def correction(t: int, word: Word) -> Frac:
             return new.subst_free(t, self.fc.ell(word))
@@ -358,11 +351,11 @@ class Kernel:
                     dens.append(values[0].den)
 
         gens = [ring.lift(g) for g in self.ideal.gens] + new_rels
-        new.ideal = Ideal(ring, gens, order)
+        new.ideal = Ideal(ring, gens)
         if dens:  # units of the kernel's field, not of its ring
             saturated = new.ideal.saturate(prod(dens[1:], start=dens[0]))
             extra = [g for g in saturated if not new.ideal.contains(g)]
-            new.ideal = Ideal(ring, gens + extra, order)
+            new.ideal = Ideal(ring, gens + extra)
         new.claim_routes_checked = routes_checked
         return new
 
@@ -410,8 +403,8 @@ def realisation_criterion(kernel: Kernel, r: int) -> Verdict:
 
     The minimal leaders of the r-truncation are read from the kernel's own
     leader report, restricted to jets of order <= r:
-    - jets are indexed level by level and `_lex_order` makes later jets
-      biggest, so the order eliminates every jet of order > r;
+    - jets are indexed level by level and the lex order makes later jets
+      biggest, so it eliminates every jet of order > r;
     - the basis elements in jets of order <= r are then the reduced basis of
       I ∩ K[jets <= r], the r-truncation's ideal (Cox–Little–O'Shea §3.1);
     - for jet idx, `leaders` reads only basis elements in jets <= idx.

@@ -23,7 +23,8 @@ from .scalars import Fp, FieldSpec, SpecError, scalar_str
 
 @dataclass(frozen=True)
 class GrevLex:
-    """Graded reverse lexicographic order."""
+    """Graded reverse lexicographic order: the print order, and the one whose
+    leading coefficient scales a fraction's denominator."""
 
     def key(self, exp: tuple[int, ...]):
         return (sum(exp), tuple(-e for e in reversed(exp)))
@@ -31,15 +32,14 @@ class GrevLex:
 
 @dataclass(frozen=True)
 class Lex:
-    """Lexicographic order; `priority` lists variable indices, biggest first."""
-
-    priority: tuple[int, ...]
+    """Lexicographic order with later variables biggest: every Gröbner basis's."""
 
     def key(self, exp: tuple[int, ...]):
-        return tuple(exp[i] for i in self.priority)
+        return exp[::-1]
 
 
 GREVLEX = GrevLex()
+LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +358,20 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-def exact_div(f: Poly, g: Poly, order=GREVLEX) -> Poly | None:
-    """f / g when the division is exact, else None."""
+def exact_div(f: Poly, g: Poly) -> Poly | None:
+    """f / g when the division is exact, else None.
+
+    {g} is a Gröbner basis of (g) in every order, so neither the quotient nor
+    the None verdict depends on the order; the leads are read in LEX."""
     if not g:
         raise ZeroDivisionError("exact_div by zero")
     if not f:
         return f.ring.zero
     quo: dict = {}
     rem = f
-    ge, gc = g.lead(order)
+    ge, gc = g.lead(LEX)
     while rem:
-        e, c = rem.lead(order)
+        e, c = rem.lead(LEX)
         if any(a < b for a, b in zip(e, ge)):
             return None
         q = tuple(a - b for a, b in zip(e, ge))

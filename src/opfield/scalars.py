@@ -156,6 +156,8 @@ class FieldSpec:
                 raise SpecError(f"{x} has no image in F_{self.char}")
             return Fp(x.numerator, self.char) / Fp(den, self.char)
         if isinstance(x, int):
+            if isinstance(x, bool):  # JSON true is no scalar
+                raise SpecError(f"{x!r} is not a scalar")
             return Fraction(x) if self.char == 0 else Fp(x, self.char)
         if isinstance(x, str):
             try:

@@ -43,7 +43,7 @@ def _load_json(source, base_dir: Path | None):
         raise SpecFileError(f"no such file: {path}")
     except IsADirectoryError:
         raise SpecFileError(f"not a file: {path}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SpecFileError(f"invalid JSON: {e}", where=str(path))
     try:
         return spec_json(data, "object", "a spec"), path.parent
@@ -219,6 +219,8 @@ def load_kernel(source, base_dir: Path | None = None) -> Kernel:
         if key not in data:
             raise SpecFileError(f"kernel spec missing field {key!r}")
     gamma_ref = data.get("gamma")
+    if "gamma" in data and not isinstance(gamma_ref, (str, dict)):
+        raise SpecFileError(f"gamma must be a path or a JSON object, got {gamma_ref!r}")
     if isinstance(gamma_ref, str) or (isinstance(gamma_ref, dict) and "field" in gamma_ref):
         field = load_gamma(gamma_ref, base_dir)
     else:

@@ -107,6 +107,15 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert main(["algebra", "validate", str(missing)]) == 2
 
 
+def test_non_utf8_spec_is_parse_error(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    proc = run_cli_process(["algebra", "validate", str(bad)])
+    assert proc.returncode == 2, proc.stderr
+    assert "PARSE_ERROR" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_degree_cap_is_parse_error():
     argv = ["kernel", "leaders", str(FIXTURES / "kernel_riccati.json")]
     proc = run_cli_process(argv, WORKBENCH_GB_DEGREE_CAP="abc")
@@ -187,6 +196,13 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
         (fixture("dfield_qt.json") | {"lie": 5}, ["dfield", "validate"]),
         (RICCATI, ["kernel", "prolong", "--steps", "-2"]),
         (None, ["free", "table", "--gamma", str(FIXTURES / "gamma_sl2.json"), "--order", "-1"]),
+        (RICCATI | {"gamma": 5}, ["kernel", "leaders"]),
+        (RICCATI | {"gamma": []}, ["kernel", "leaders"]),
+        (RICCATI | {"gamma": True}, ["kernel", "leaders"]),
+        (
+            {"char": 0, "dim": 3, "grades": [1, 2], "products": [{"p": 1, "q": 1, "coeffs": {"2": True}}]},
+            ["algebra", "validate"],
+        ),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -194,7 +210,8 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "dfield_char_list", "dfield_d1_int", "dfield_d1_empty", "dfield_list", "dfield_gens_str",
          "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0",
          "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
-         "free_order_negative"],
+         "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
+         "coeff_bool"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

@@ -8,7 +8,6 @@ import pytest
 from helpers import constant_field, sl2_constants, trivial_derivation, two_derivations
 
 from opfield import groebner
-from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
 from opfield.indices import psi
@@ -23,7 +22,7 @@ from opfield.kernels import (
     specialize_check,
 )
 from opfield.local_algebra import derivation_algebra
-from opfield.polynomials import Frac, Lex, PolyRing, parse_frac
+from opfield.polynomials import Frac, PolyRing, parse_frac
 from opfield.scalars import FieldSpec
 from opfield.specs import load_kernel
 
@@ -139,22 +138,8 @@ def test_lifted_lex_basis_is_the_prolonged_reduced_basis(name):
         new = k.prolong()
         lifted = tuple(new.ring.lift(g) for g in k.ideal.groebner())
         gens = [new.ring.lift(g) for g in k.ideal.gens]
-        assert lifted == groebner.buchberger(gens, new._lex_order())
+        assert lifted == groebner.buchberger(gens)
         k = new
-
-
-def test_realize_builds_only_lex_bases(monkeypatch, capsys):
-    orders = []
-    real = groebner.buchberger
-
-    def recording(gens, order=groebner.GREVLEX, cap=None):
-        orders.append(order)
-        return real(gens, order, cap)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    path = str(FIXTURES / "kernel_riccati.json")
-    assert main(["kernel", "realize", path, "--r", "2", "--order", "8"]) == 0
-    assert orders and all(isinstance(o, Lex) for o in orders)
 
 
 def test_prolong_generic_adds_nothing():

@@ -10,9 +10,9 @@ from opfield.kernels import Kernel
 from opfield.local_algebra import derivation_algebra
 from opfield.polynomials import (
     GREVLEX,
+    LEX,
     Frac,
     FracDomain,
-    Lex,
     ParseError,
     Poly,
     PolyRing,
@@ -52,11 +52,11 @@ def test_no_zero_coefficients_stored(rxy):
 
 def test_grevlex_vs_lex(rxy):
     x, y = rxy.var("x"), rxy.var("y")
-    p = x * y + y**3
+    p = x**3 + x * y
     # grevlex: degree 3 term wins
-    assert p.lm(GREVLEX) == (0, 3)
-    # lex with x > y: x*y wins
-    assert p.lm(Lex((0, 1))) == (1, 1)
+    assert p.lm(GREVLEX) == (3, 0)
+    # lex with y > x: x*y wins
+    assert p.lm(LEX) == (1, 1)
 
 
 def test_fp_polynomials():
@@ -92,6 +92,50 @@ def test_exact_div(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     assert exact_div(x * x - y * y, x - y) == x + y
     assert exact_div(x * x + 1, x) is None
+
+
+def _grevlex_exact_div(f: Poly, g: Poly) -> Poly | None:
+    """Reference: exact division reading leads in grevlex."""
+    if not f:
+        return f.ring.zero
+    quo: dict = {}
+    rem = f
+    ge, gc = g.lead(GREVLEX)
+    while rem:
+        e, c = rem.lead(GREVLEX)
+        if any(a < b for a, b in zip(e, ge)):
+            return None
+        q = tuple(a - b for a, b in zip(e, ge))
+        qc = c / gc
+        quo[q] = qc
+        rem = rem - Poly(f.ring, {q: qc}) * g
+    return Poly(f.ring, quo)
+
+
+@pytest.mark.parametrize("char", [0, 3, 7])
+def test_exact_div_agrees_with_grevlex_reference(char):
+    # {g} is a Gröbner basis of (g) in every order, so the order of the
+    # leads changes neither the quotient nor the None verdict
+    rng = random.Random(char)
+    ring = PolyRing(("x", "y", "z"), ScalarDomain(char))
+
+    def rand_poly():
+        terms = {
+            tuple(rng.randrange(0, 3) for _ in range(3)): ring.domain.coerce(rng.randrange(-4, 5))
+            for _ in range(rng.randrange(1, 4))
+        }
+        return Poly(ring, terms)
+
+    nones = 0
+    for _ in range(150):
+        g, q, f = rand_poly(), rand_poly(), rand_poly()
+        if not g:
+            continue
+        assert exact_div(g * q, g) == _grevlex_exact_div(g * q, g) == q
+        ours = exact_div(f, g)
+        assert ours == _grevlex_exact_div(f, g)
+        nones += ours is None
+    assert nones > 50
 
 
 def test_frac_normalization(rxy):
