@@ -14,7 +14,7 @@ from itertools import product
 from math import comb
 
 from .local_algebra import LocalAlgebra, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
-from .polynomials import Frac, PolyRing, ScalarDomain, parse_frac
+from .polynomials import Frac, PolyRing, parse_frac
 from .scalars import FieldSpec, SpecError
 
 
@@ -38,7 +38,7 @@ PASS = Verdict(True)
 
 
 def base_ring(spec: FieldSpec) -> PolyRing:
-    return PolyRing(spec.gens, ScalarDomain(spec.char))
+    return PolyRing(spec.gens, FieldSpec(spec.char))
 
 
 class GammaSystem:
@@ -72,6 +72,11 @@ class GammaSystem:
             for (i, j, l) in self.hs:
                 if not (1 <= i <= d2.m and 1 <= j <= d2.m and 1 <= l <= d2.m):
                     raise SpecError(f"HS coefficient index {(i, j, l)} out of range")
+        # {(i, j): [(l, c_l^{ij}), ...]} over operators, nonzero terms only, l ascending
+        self.pair_terms: dict = {}
+        for u, table in ((1, self.lie), (2, self.hs)):
+            for (i, j, l), c in sorted(table.items()):
+                self.pair_terms.setdefault(((u, i), (u, j)), []).append(((u, l), c))
 
     def _coeff(self, v) -> Frac:
         if isinstance(v, str):
@@ -220,14 +225,6 @@ def _memo_partials(field, u: int, c):
     return lambda p, i, j, l: nonzero(p, i, j, l) if c(i, j, l) else c(i, j, l)
 
 
-def _by_pair(coeffs: dict) -> dict:
-    """{(i, j): [(l, c_l^{ij}), ...]} over the nonzero coefficients."""
-    out: dict = {}
-    for (i, j, l), c in sorted(coeffs.items()):
-        out.setdefault((i, j), []).append((l, c))
-    return out
-
-
 def _by_target(alg: LocalAlgebra) -> dict:
     """{(i, q): [(p, alpha_i^{pq}), ...]} over the nonzero structure constants."""
     out: dict = {}
@@ -260,7 +257,7 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
         return gamma.lie.get((i, j, l), zero)
 
     dc = _memo_partials(field, 1, c)
-    by_pair = _by_pair(gamma.lie)
+    pair_terms = gamma.pair_terms
 
     for i, j, l in product(idx, repeat=3):
         # skew-symmetry with zero diagonal (the diagonal matters in char 2)
@@ -270,7 +267,7 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
     for i, j, k, r in product(idx, repeat=4):
         lhs = zero
         for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
-            for l, cxy in by_pair.get((x, y), ()):
+            for (_, l), cxy in pair_terms.get(((1, x), (1, y)), ()):
                 lhs = lhs + cxy * c(l, z, r)
         rhs = dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r)
         if lhs != rhs:
@@ -289,13 +286,13 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
         return gamma.hs.get((i, j, l), zero)
 
     dc = _memo_partials(field, 2, c)
-    by_pair, alpha = _by_pair(gamma.hs), _by_target(gamma.d2)
+    pair_terms, alpha = gamma.pair_terms, _by_target(gamma.d2)
 
     for i, j, k, r in product(idx, repeat=4):
         lhs = zero
-        for l, cij in by_pair.get((i, j), ()):
+        for (_, l), cij in pair_terms.get(((2, i), (2, j)), ()):
             lhs = lhs + cij * c(l, k, r)
-        for l, cjk in by_pair.get((j, k), ()):
+        for (_, l), cjk in pair_terms.get(((2, j), (2, k)), ()):
             lhs = lhs - cjk * c(i, l, r)
             for q in idx:
                 for p, a in alpha.get((i, q), ()):

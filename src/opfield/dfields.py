@@ -157,10 +157,8 @@ class DField:
                     chi = 0 if (i[0] == 2 and j[0] == 2) else 1
                     lhs = self.partial(i, firsts[j])
                     rhs = self.scalar(0) if not chi else self.partial(j, firsts[i])
-                    for l in self.ops:
-                        c = self.gamma.c(l, i, j)
-                        if c:
-                            rhs = rhs + c * firsts[l]
+                    for l, c in self.gamma.pair_terms.get((i, j), ()):
+                        rhs = rhs + c * firsts[l]
                     if lhs != rhs:
                         raise GammaFail((i, j, g))
 
@@ -220,9 +218,10 @@ def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
 
     Coordinate i of f^e(x + sum_k y_k e_k) is fprime * y_i plus terms in the
     y_k of lower grade, so the y_i are solved in grade order. images[u] maps
-    f's other variables to their D_u images; `reduce` rewrites each value, and
-    `is_zero`, when given, must hold for every coordinate of the final
-    residual, else NonzeroResidual.
+    f's other variables to their D_u images, and the solved image of x is
+    written into it at idx; `reduce` rewrites each value, and `is_zero`, when
+    given, must hold for every coordinate of the final residual, else
+    NonzeroResidual.
     """
     ring = f.ring
     zero = Frac.of(0, ring)
@@ -241,7 +240,7 @@ def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
                 embedded[c] = embed(c)
             return embedded[c]
 
-        values = dict(images[u]) if images else {}
+        values = images[u] if images else {}
         coords = [Frac(ring.var(idx), ring.one, normalize=False)] + [zero] * alg.m
 
         def residual() -> DVector:
@@ -251,8 +250,9 @@ def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
         for i in sorted(range(1, alg.m + 1), key=lambda k: (alg.sigma(k), k)):
             v0 = residual().coords[i]
             coords[i] = reduce((-v0) / fprime) if v0 else zero
+        values[idx] = DVector(alg, tuple(coords))
         if is_zero is not None:
-            for i, coord in enumerate(residual().coords):
+            for i, coord in enumerate(f.subst(values, coeff).coords):
                 if not is_zero(coord):
                     raise NonzeroResidual((u, i), coord)
         for i in range(1, alg.m + 1):

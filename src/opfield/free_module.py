@@ -72,24 +72,21 @@ class FreeCalculus:
         else:
             j = word[0]
             tail = word[1:]
+            terms = self.gamma.pair_terms.get((op, j), ())
             if op_key(op) >= op_key(j):
                 if is_hs(op):
                     # both HS: the composition collapses through the coefficients
                     out = self.zero()
-                    for l in self.gamma.ops:
-                        c = self.gamma.c(l, op, j)
-                        if c:
-                            out = self.add(out, self.scale(c, self.d_word(l, tail)))
+                    for l, c in terms:
+                        out = self.add(out, self.scale(c, self.d_word(l, tail)))
                 else:
                     out = self.wvec((op,) + word)
             else:
                 out = self.zero()
                 if not (is_hs(op) and is_hs(j)):
                     out = self.apply(j, self.d_word(op, tail))
-                for l in self.gamma.ops:
-                    c = self.gamma.c(l, op, j)
-                    if c:
-                        out = self.add(out, self.scale(c, self.d_word(l, tail)))
+                for l, c in terms:
+                    out = self.add(out, self.scale(c, self.d_word(l, tail)))
         self._memo[key] = out
         return out
 
@@ -133,8 +130,6 @@ class FreeCalculus:
         rhs = self.zero()
         if not (is_hs(i) and is_hs(j)):
             rhs = self.apply(j, self.apply(i, w))
-        for l in self.gamma.ops:
-            c = self.gamma.c(l, i, j)
-            if c:
-                rhs = self.add(rhs, self.scale(c, self.apply(l, w)))
+        for l, c in self.gamma.pair_terms.get((i, j), ()):
+            rhs = self.add(rhs, self.scale(c, self.apply(l, w)))
         return self.sub(lhs, rhs)

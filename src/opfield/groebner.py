@@ -193,18 +193,23 @@ class Ideal:
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
 
-    def saturate(self, f: Poly) -> tuple[Poly, ...]:
-        """The reduced basis of I : f^∞.
+    def saturate(self, f: Poly) -> "Ideal":
+        """I : f^∞, generated by this ideal's generators and then, in basis
+        order, the elements of its reduced basis that I lacks; that basis is
+        the one it caches.
 
         Rabinowitsch: a new variable y, the last and so the biggest, and the
-        generator 1 - y*f; the basis elements free of y eliminate it
-        (Cox–Little–O'Shea §4.4). I : f^∞ is the unit ideal iff f lies in the
-        radical of I."""
+        generator 1 - y*f; the basis elements free of y eliminate it, and they
+        form the reduced basis of I : f^∞ (Cox–Little–O'Shea §3.1, §4.4).
+        I : f^∞ is the unit ideal iff f lies in the radical of I."""
         ext = self.ring.extend(("__sat__",))
         y = ext.nvars - 1
         gens = [ext.lift(g) for g in self.groebner()] + [ext.one - ext.var(y) * ext.lift(f)]
-        return tuple(Poly(self.ring, {e[:y]: c for e, c in g.terms.items()})
-                     for g in buchberger(gens) if not g.degree_in(y))
+        basis = tuple(Poly(self.ring, {e[:y]: c for e, c in g.terms.items()})
+                      for g in buchberger(gens) if not g.degree_in(y))
+        saturated = Ideal(self.ring, self.gens + tuple(g for g in basis if not self.contains(g)))
+        saturated._basis = basis
+        return saturated
 
     def __eq__(self, other):
         """The reduced basis of an ideal is unique (Cox–Little–O'Shea §2.7)."""

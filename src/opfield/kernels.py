@@ -134,10 +134,9 @@ class Kernel:
         return acc
 
     def jet_value(self, t: int, word: Word) -> Frac:
-        """x^word rewritten through the reorder identity; word may be non-normal."""
+        """x^word rewritten through the reorder identity; word may be non-normal
+        but no longer than the kernel."""
         word = tuple(word)
-        if len(word) > self.r:
-            raise KernelError("ORDER", f"jet {jet_name(t, word)} beyond length {self.r}")
         if (word, t) in self.position:
             return self.jet_var(t, word)
         value = self.subst_free(t, self.fc.ell(word))
@@ -160,6 +159,8 @@ class Kernel:
             for u, i in word:
                 if (u, i) not in ops:
                     raise SpecError(f"jet {name}: the field has no operator {u},{i}")
+            if len(word) > self.r:
+                raise SpecError(f"jet {name} beyond length {self.r}")
             return self.jet_value(t, word)
 
         f = parse_frac(self.ring, text, resolve=resolve)
@@ -266,17 +267,18 @@ class Kernel:
         """The generic prolongation to length r + 1.
 
         The images of the operator action are the new kernel's own
-        (`_images`), except at the separable leaders of order r: their
-        derivative values are forced by the witness relation and solved with
-        `solve_by_grade`. The leaders are solved in jet order, so each one
-        sees the values already solved for the leaders before it; its witness
-        involves no later jet. Solved values must agree with the correction
-        term wherever an operator word collapses, and all routes to a jet of
-        order r + 1 must agree modulo the old ideal; the first route then
-        gives the jet's new relation, its denominator cleared. When a cleared
-        denominator is not constant, the new ideal is saturated by their
-        product, and the saturation's new basis elements follow the
-        generators.
+        (`_images`, built only when there is a separable leader of order r),
+        except at those leaders: their derivative values are forced by the
+        witness relation, and `solve_by_grade` writes them into the images.
+        The leaders are solved in jet order, so each one sees the values
+        already solved for the leaders before it; its witness involves no
+        later jet. Solved values must agree with the correction term wherever
+        an operator word collapses, and all routes to a jet of order r + 1
+        must agree modulo the old ideal; the first route then gives the jet's
+        new relation, its denominator cleared. When a cleared denominator is
+        not constant, the new ideal is saturated by their product
+        (`Ideal.saturate`), and the saturation's new basis elements follow
+        the generators.
         """
         s = self.r
         char = self.field.spec.char
@@ -301,18 +303,13 @@ class Kernel:
         def correction(t: int, word: Word) -> Frac:
             return new.subst_free(t, self.fc.ell(word))
 
-        images = {u: new._images(u) for u in (1, 2) if u == 1 or self.gamma.d2 is not None}
+        # the order-s leaders, in jet order (the report has one entry per jet)
+        leaders = [(idx, e) for idx, e in enumerate(report.entries) if len(e.word) == s and e.is_leader]
+        images = {u: new._images(u) for u in (1, 2) if u == 1 or self.gamma.d2 is not None} if leaders else {}
         solved: dict[tuple[Word, int], dict] = {}
-        for idx, info in enumerate(report.entries):  # one entry per jet, in jet order
-            if len(info.word) != s or not info.is_leader:
-                continue
-            fprime = Frac(ring.lift(info.witness.deriv(idx)), ring.one)
-            per_op = solve_by_grade(self.field, ring.lift(info.witness), idx, fprime, images)
-            solved[(info.word, info.t)] = per_op
-            for u, per_jet in images.items():
-                alg = per_jet[idx].algebra
-                forced = tuple(per_op[(u, i)] for i in range(1, alg.m + 1))
-                per_jet[idx] = DVector(alg, per_jet[idx].coords[:1] + forced)
+        for idx, e in leaders:
+            fprime = Frac(ring.lift(e.witness.deriv(idx)), ring.one)
+            solved[(e.word, e.t)] = solve_by_grade(self.field, ring.lift(e.witness), idx, fprime, images)
 
         for (tau, t), per_op in solved.items():
             for op in self.gamma.ops:
@@ -350,12 +347,9 @@ class Kernel:
                 if not values[0].den.is_const():
                     dens.append(values[0].den)
 
-        gens = [ring.lift(g) for g in self.ideal.gens] + new_rels
-        new.ideal = Ideal(ring, gens)
+        new.ideal = Ideal(ring, [ring.lift(g) for g in self.ideal.gens] + new_rels)
         if dens:  # units of the kernel's field, not of its ring
-            saturated = new.ideal.saturate(prod(dens[1:], start=dens[0]))
-            extra = [g for g in saturated if not new.ideal.contains(g)]
-            new.ideal = Ideal(ring, gens + extra)
+            new.ideal = new.ideal.saturate(prod(dens[1:], start=dens[0]))
         new.claim_routes_checked = routes_checked
         return new
 
@@ -367,7 +361,7 @@ class Kernel:
     # -- diagnostics ------------------------------------------------------------
     def in_radical(self, f: Poly) -> bool:
         """Radical membership: I : f^∞ is the unit ideal."""
-        return any(g.is_const() for g in self.ideal.saturate(f))
+        return any(g.is_const() for g in self.ideal.saturate(f).groebner())
 
     def radical_diagnostic(self) -> list[str]:
         """Primality is assumed, never verified; this spot-check flags leader
@@ -414,8 +408,8 @@ def realisation_criterion(kernel: Kernel, r: int) -> Verdict:
         raise SpecError(f"criterion needs a kernel of length {2 * r}, got {kernel.r}")
     report = kernel.leaders()
     if not report.separable:
-        top = [w for w in report.inseparable if len(w[0]) == kernel.r]
-        return Verdict(False, "INSEPARABLE_KERNEL", tuple(top[:1]))
+        w, t = next((w, t) for (w, t) in report.inseparable if len(w) == kernel.r)
+        return Verdict(False, "INSEPARABLE_KERNEL", (jet_name(t, w),))
     gamma = kernel.gamma
     if gamma.m1 == 0 or (gamma.m1 + gamma.m2) <= 1:
         # one operator never branches; a pure HS family has no jets above order 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import FieldSpec, SpecError, scalar_str, spec_int, spec_json
+from .scalars import FieldSpec, SpecError, spec_int, spec_json
 
 
 class AlgebraError(ValueError):
@@ -33,7 +33,7 @@ _NO_ROW: dict = {}  # the row of a zero product; never written
 
 
 class LocalAlgebra:
-    """Validated local algebra; construct through `validate`."""
+    """Validated local algebra; construct through `validate` or `from_table`."""
 
     __slots__ = ("field", "m", "grades", "table", "d", "rows")
 
@@ -96,20 +96,14 @@ def trivial_algebra(char: int = 0) -> LocalAlgebra:
 
 def derivation_algebra(m: int, char: int = 0) -> LocalAlgebra:
     """k[e_1..e_m]/(e_1..e_m)^2: rings over it carry m derivations."""
-    return validate({"char": char, "dim": m + 1, "grades": [1] * m, "products": []})
+    return from_table(FieldSpec(char=char), m + 1, [1] * m, {})
 
 
 def truncation_algebra(order: int, char: int = 0) -> LocalAlgebra:
     """k[e]/(e^order): rings over it carry an (order-1)-truncated HS derivation."""
-    m = order - 1
-    products = []
-    for p in range(1, m + 1):
-        for q in range(p, m + 1):
-            if p + q <= m:
-                products.append({"p": p, "q": q, "coeffs": {str(p + q): 1}})
-    return validate(
-        {"char": char, "dim": order, "grades": list(range(1, order)), "products": products}
-    )
+    fs = FieldSpec(char=char)
+    table = {(p, q, p + q): fs.one for p in range(1, order) for q in range(p, order - p)}
+    return from_table(fs, order, range(1, order), table)
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +140,44 @@ def _span_dim(vectors) -> int:
 def validate(spec: dict) -> LocalAlgebra:
     """Check a raw algebra description and return a LocalAlgebra.
 
+    The JSON shape is checked here, and the table it gives in `from_table`.
     Raises AlgebraError with codes NOT_LOCAL / COMM_FAIL / ASSOC_FAIL /
     RANK_FAIL, or SpecError for shape problems.
     """
     fs = FieldSpec(char=spec_int(spec.get("char", 0), "char"))
     dim = spec_int(spec["dim"], "dim")
+    grades = [spec_int(g, "grade") for g in spec_json(spec.get("grades", ()), "list", "grades")]
+    table: dict[tuple[int, int, int], object] = {}
+    for entry in spec_json(spec.get("products", ()), "list", "products"):
+        entry = spec_json(entry, "object", "product entry")
+        p, q = (spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
+        if not (1 <= p < dim and 1 <= q < dim):
+            raise SpecError(f"product indices ({p},{q}) out of range")
+        for i_str, lit in spec_json(entry.get("coeffs", {}), "object", "coeffs").items():
+            try:
+                i = int(i_str)
+            except (TypeError, ValueError):
+                raise SpecError(f"coefficient key must be an integer, got {i_str!r}") from None
+            if not (0 <= i < dim):
+                raise SpecError(f"target index {i} out of range")
+            c = fs.coerce(lit)
+            if table.get((p, q, i), c) != c:
+                raise SpecError(f"conflicting entries for product ({p},{q}) target {i}")
+            table[(p, q, i)] = c
+    return from_table(fs, dim, grades, table)
+
+
+def from_table(fs: FieldSpec, dim: int, grades, table: dict) -> LocalAlgebra:
+    """The algebra of dimension `dim` over `fs` with these grades and the
+    structure constants {(p, q, i): alpha_i^{pq}}, each a scalar of `fs`.
+
+    A (q, p, i) entry beside a (p, q, i) one must agree with it. Raises
+    AlgebraError as `validate` does, or SpecError for bad sizes or grades.
+    """
     if dim < 1:
         raise SpecError("dimension must be at least 1")
     m = dim - 1
-    grades = spec_json(spec.get("grades", ()), "list", "grades")
-    grades = tuple(spec_int(g, "grade") for g in grades)
+    grades = tuple(grades)
     if len(grades) != m:
         raise SpecError(f"expected {m} grades, got {len(grades)}")
     if any(g < 1 for g in grades):
@@ -163,35 +185,17 @@ def validate(spec: dict) -> LocalAlgebra:
     if any(grades[i] > grades[i + 1] for i in range(m - 1)):
         raise SpecError("grades must be non-decreasing")
 
-    raw: dict[tuple[int, int, int], object] = {}
-    for entry in spec_json(spec.get("products", ()), "list", "products"):
-        entry = spec_json(entry, "object", "product entry")
-        p, q = (spec_int(entry.get(k), f"product entry {k!r}") for k in ("p", "q"))
-        if not (1 <= p <= m and 1 <= q <= m):
-            raise SpecError(f"product indices ({p},{q}) out of range")
-        for i_str, lit in spec_json(entry.get("coeffs", {}), "object", "coeffs").items():
-            try:
-                i = int(i_str)
-            except (TypeError, ValueError):
-                raise SpecError(f"coefficient key must be an integer, got {i_str!r}") from None
-            if not (0 <= i <= m):
-                raise SpecError(f"target index {i} out of range")
-            c = fs.scalar(lit)
-            if (p, q, i) in raw and raw[(p, q, i)] != c:
-                raise SpecError(f"conflicting entries for product ({p},{q}) target {i}")
-            raw[(p, q, i)] = c
-
     # commutativity: mirrored entries, when both given, must agree
-    table: dict[tuple[int, int, int], object] = {}
-    for (p, q, i), c in raw.items():
-        mirror = raw.get((q, p, i))
+    nonzero: dict[tuple[int, int, int], object] = {}
+    for (p, q, i), c in table.items():
+        mirror = table.get((q, p, i))
         if mirror is not None and mirror != c:
             raise AlgebraError("COMM_FAIL", witness=(i, p, q))
         if c:
-            table[(min(p, q), max(p, q), i)] = c
+            nonzero[(min(p, q), max(p, q), i)] = c
 
     alg = LocalAlgebra(
-        fs, m, grades, tuple((p, q, i, c) for (p, q, i), c in sorted(table.items())), 0
+        fs, m, grades, tuple((p, q, i, c) for (p, q, i), c in sorted(nonzero.items())), 0
     )
 
     # span of e_1..e_m must be an ideal: no unit component in products
@@ -437,31 +441,19 @@ def tensor(a: LocalAlgebra, b: LocalAlgebra) -> LocalAlgebra:
     """Tensor product with grade-lex ordered basis e_{1,i} (x) e_{2,j}."""
     if a.field != b.field:
         raise SpecError("tensor factors over different base fields")
-    fs = a.field
     pairs = tensor_basis_pairs(a, b)
     index = {ij: k + 1 for k, ij in enumerate(pairs)}
-    index[(0, 0)] = 0
 
-    products = []
-    for (p1, p2) in pairs:
-        for (q1, q2) in pairs:
-            if index[(p1, p2)] > index[(q1, q2)]:
-                continue
+    # Each entry is a product of nonzero constants, so it is nonzero. Its
+    # target (i1, i2) is never (0, 0): a row has no unit component, and
+    # ext_row(p, q) with p or q = 0 targets p + q, so that would need the
+    # pair (0, 0), which is no basis index.
+    table = {}
+    for p, (p1, p2) in enumerate(pairs, start=1):
+        for q, (q1, q2) in enumerate(pairs[p - 1 :], start=p):
             row2 = ext_row(b, p2, q2)
-            coeffs = {}
             for i1, c1 in ext_row(a, p1, q1).items():
                 for i2, c2 in row2.items():
-                    c = c1 * c2
-                    if c and (i1, i2) != (0, 0):
-                        coeffs[str(index[(i1, i2)])] = scalar_str(c)
-            if coeffs:
-                products.append({"p": index[(p1, p2)], "q": index[(q1, q2)], "coeffs": coeffs})
-
-    return validate(
-        {
-            "char": fs.char,
-            "dim": (a.m + 1) * (b.m + 1),
-            "grades": [a.sigma(i) + b.sigma(j) for (i, j) in pairs],
-            "products": products,
-        }
-    )
+                    table[(p, q, index[(i1, i2)])] = c1 * c2
+    grades = [a.sigma(i) + b.sigma(j) for (i, j) in pairs]
+    return from_table(a.field, (a.m + 1) * (b.m + 1), grades, table)

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials and normalized fractions over exact scalars.
 
-Coefficients live in a domain attached to the ring: Q, F_p, or the fraction
-field of another polynomial ring (used for jet rings over a base function
-field). Over a base ring with no generators that fraction field is Q or F_p
-itself, and its coefficients are plain `Fraction` / `Fp` scalars. All
-arithmetic is exact; there is no floating point anywhere.
+Coefficients live in a domain attached to the ring: Q or F_p, given as a
+`FieldSpec` with no generators, or the fraction field of another polynomial
+ring (used for jet rings over a base function field). Over a base ring with no
+generators that fraction field is Q or F_p itself, and its coefficients are
+plain `Fraction` / `Fp` scalars. All arithmetic is exact; there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .scalars import Fp, FieldSpec, SpecError, scalar_str
+from .scalars import Fp, FieldSpec, SpecError
 
 
 # ---------------------------------------------------------------------------
@@ -45,28 +46,6 @@ LEX = Lex()
 # ---------------------------------------------------------------------------
 # coefficient domains
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarDomain:
-    """Q (char 0) or F_p (char p) coefficients."""
-
-    char: int = 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else Fp(1, self.char)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction) and self.char == 0 or isinstance(x, Fp) and x.p == self.char:
-            return x  # already in this field: no FieldSpec to build
-        return FieldSpec(self.char).scalar(x)
-
-    def is_element(self, x):
-        return isinstance(x, (Fraction, Fp)) or isinstance(x, int)
-
-    def to_str(self, x):
-        return scalar_str(x)
-
 
 @dataclass(frozen=True)
 class FracDomain:
@@ -107,7 +86,7 @@ class FracDomain:
         # what str() of the constant Frac gives, without building that Frac
         if isinstance(x, Fraction) and x.denominator != 1:
             return f"(({x.numerator})/({x.denominator}))"
-        return f"({scalar_str(x)})"
+        return f"({x})"
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +103,7 @@ class PolyRing:
 
     def __init__(self, names, domain=None):
         self.names = tuple(names)
-        self.domain = domain if domain is not None else ScalarDomain(0)
+        self.domain = domain if domain is not None else FieldSpec()
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
@@ -140,7 +119,7 @@ class PolyRing:
         return hash((self.names, self.domain))
 
     def __repr__(self):
-        dom = "Q" if isinstance(self.domain, ScalarDomain) and self.domain.char == 0 else str(self.domain)
+        dom = "Q" if self.domain == FieldSpec() else str(self.domain)
         return f"PolyRing({list(self.names)}, {dom})"
 
     @property
@@ -511,7 +490,7 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return ring.zero, ring.one
     dom = ring.domain
     zero = (0,) * ring.nvars
-    if isinstance(dom, ScalarDomain) and num.terms.keys() == den.terms.keys() == {zero}:
+    if isinstance(dom, FieldSpec) and num.terms.keys() == den.terms.keys() == {zero}:
         # constant over constant: the pair _normalize_general returns, without
         # its quotient Poly and content gcds
         c = num.terms[zero] / den.terms[zero]
@@ -551,7 +530,7 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             q = exact_div(num, den)
             if q is not None:
                 num, den = q, ring.one
-    if isinstance(dom, ScalarDomain) and dom.char == 0:
+    if isinstance(dom, FieldSpec) and dom.char == 0:
         cn, cd = _rat_content(num), _rat_content(den)
         g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
         lc = den.lc()
@@ -631,8 +610,10 @@ def poly_str(p: Poly) -> str:
         return "0"
     dom = p.ring.domain
     one = dom.one
-    # a ScalarDomain over F_p prints its coefficients in 0..p-1, never as -1
-    prime_field = isinstance(dom, ScalarDomain) and dom.char > 0
+    over_field = isinstance(dom, FieldSpec)  # Q or F_p, not a fraction field
+    to_str = str if over_field else dom.to_str
+    # F_p prints its coefficients in 0..p-1, never as -1
+    prime_field = over_field and dom.char > 0
     parts = []
     for e in sorted(p.terms, key=GREVLEX.key, reverse=True):
         c = p.terms[e]
@@ -644,13 +625,13 @@ def poly_str(p: Poly) -> str:
                 factors.append(f"{p.ring.names[i]}^{d}")
         mono = "*".join(factors)
         if not mono:
-            cs = dom.to_str(c)
+            cs = to_str(c)
         elif c == one:
             cs = mono
         elif not prime_field and c == -one:
             cs = f"-{mono}"
         else:
-            cs = f"{dom.to_str(c)}*{mono}"
+            cs = f"{to_str(c)}*{mono}"
         parts.append(cs)
     out = parts[0]
     for part in parts[1:]:

@@ -128,7 +128,10 @@ def spec_json(value, kind: str, what: str):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A computable base field: Q or F_p, with ordered transcendental generators."""
+    """A computable base field: Q or F_p, with ordered transcendental generators.
+
+    Without generators it is the prime field Q or F_p itself, and serves as the
+    coefficient domain of a `PolyRing` (`char`, `one`, `coerce`, `is_element`)."""
 
     char: int = 0
     gens: tuple[str, ...] = ()
@@ -142,12 +145,8 @@ class FieldSpec:
             if not g or not g[0].isalpha():
                 raise SpecError(f"bad generator name {g!r}")
 
-    def scalar(self, x):
+    def coerce(self, x):
         """Coerce an int, string like '3/2', Fraction or Fp into this field."""
-        if isinstance(x, Fp):
-            if self.char != x.p:
-                raise SpecError("scalar from wrong characteristic")
-            return x
         if isinstance(x, Fraction):
             if self.char == 0:
                 return x
@@ -155,6 +154,10 @@ class FieldSpec:
             if den == 0:
                 raise SpecError(f"{x} has no image in F_{self.char}")
             return Fp(x.numerator, self.char) / Fp(den, self.char)
+        if isinstance(x, Fp):
+            if self.char != x.p:
+                raise SpecError("scalar from wrong characteristic")
+            return x
         if isinstance(x, int):
             if isinstance(x, bool):  # JSON true is no scalar
                 raise SpecError(f"{x!r} is not a scalar")
@@ -164,8 +167,11 @@ class FieldSpec:
                 value = Fraction(x)
             except (ValueError, ZeroDivisionError):
                 raise SpecError(f"{x!r} is not a scalar") from None
-            return self.scalar(value)
+            return self.coerce(value)
         raise SpecError(f"cannot coerce {x!r} to a scalar")
+
+    def is_element(self, x) -> bool:
+        return isinstance(x, (Fraction, Fp, int))
 
     @property
     def zero(self):
@@ -174,12 +180,3 @@ class FieldSpec:
     @property
     def one(self):
         return Fraction(1) if self.char == 0 else Fp(1, self.char)
-
-
-def scalar_str(c) -> str:
-    """Canonical text for a scalar coefficient."""
-    if isinstance(c, Fp):
-        return str(c.v)
-    if isinstance(c, Fraction):
-        return str(c)
-    return str(c)

@@ -16,7 +16,7 @@ from .dfields import DField
 from .kernels import Kernel
 from .local_algebra import LocalAlgebra, derivation_algebra, trivial_algebra, validate
 from .polynomials import parse_frac
-from .scalars import FieldSpec, SpecError, scalar_str, spec_int, spec_json
+from .scalars import FieldSpec, SpecError, spec_int, spec_json
 
 
 class SpecFileError(ValueError):
@@ -66,7 +66,7 @@ def load_algebra(source, base_dir: Path | None = None) -> LocalAlgebra:
 def dump_algebra(alg: LocalAlgebra) -> dict:
     products: dict = {}
     for (p, q, i, c) in alg.table:
-        products.setdefault((p, q), {})[str(i)] = scalar_str(c)
+        products.setdefault((p, q), {})[str(i)] = str(c)
     return {
         "char": alg.field.char,
         "dim": alg.dim,

@@ -112,7 +112,7 @@ def test_03_associativity_binomial():
             # exercises the accepting direction.
             for key, old in g.hs.items():
                 for new in range(p):
-                    if g.fieldspec.scalar(new) == old:
+                    if g.fieldspec.coerce(new) == old:
                         continue
                     hs = dict(g.hs)
                     if new:

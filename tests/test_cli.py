@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opfield
+from opfield import groebner
 from opfield.cli import main
+from opfield.specs import load_kernel
 
 FIXTURES = Path(str(files("opfield") / "fixtures"))
 SCHEMAS = Path(str(files("opfield") / "schemas"))
@@ -129,7 +131,7 @@ def test_bad_degree_cap_is_parse_error():
     assert "PARSE_ERROR" in proc.stderr and "'-1'" in proc.stderr
 
 
-def test_kernel_realize_saturates_cleared_denominators(tmp_path, capsys):
+def test_kernel_realize_saturates_cleared_denominators(tmp_path, capsys, monkeypatch):
     # x = (s + t)^2 / 4 under d_s, d_t solves (x')^2 = x, d2 x = d1 x; solving
     # the second derivatives divides by x1_[1,1]
     spec = fixture("kernel_equal_flows.json") | {"relations": ["x1_[1,1]^2 - x1_[]", "x1_[1,2] - x1_[1,1]"]}
@@ -143,6 +145,32 @@ def test_kernel_realize_saturates_cleared_denominators(tmp_path, capsys):
     assert main(["kernel", "prolong", str(path), "-o", str(prolonged)]) == 0
     code, data = run_json(["kernel", "leaders", str(prolonged)], capsys)
     assert code == 0 and data["minimal_separable"] == ["x1_[1,1]", "x1_[1,2]"]
+    kernel = load_kernel(path)
+    kernel.leaders()
+    runs = []
+    buchberger = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: runs.append(gens) or buchberger(gens))
+    kernel.prolong().leaders()
+    # the new ideal's basis, then the saturation's, which the saturated ideal keeps
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_kernel_realize_inseparable_witness_names_the_jet(fmt, tmp_path, capsys):
+    spec = {
+        "dfield": {"char": 2, "gens": ["t"], "d1": {"char": 2, "dim": 2, "grades": [1], "products": []},
+                   "action": {}},
+        "n": 1, "r": 2, "relations": ["x1_[1,1;1,1]^2 - t"],
+    }
+    path = tmp_path / "inseparable.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--format", fmt, "kernel", "realize", str(path), "--r", "1", "--order", "3"]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        data = json.loads(out)
+        assert (data["code"], data["witness"]) == ("INSEPARABLE_KERNEL", ["x1_[1,1;1,1]"])
+    else:
+        assert "code: INSEPARABLE_KERNEL\nwitness: ['x1_[1,1;1,1]']\n" in out
 
 
 def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
@@ -203,6 +231,10 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
             {"char": 0, "dim": 3, "grades": [1, 2], "products": [{"p": 1, "q": 1, "coeffs": {"2": True}}]},
             ["algebra", "validate"],
         ),
+        (
+            {"dfield": {"char": 0, "gens": [], "action": {}}, "n": 1, "r": 1, "relations": ["x1_[1,1;1,1]"]},
+            ["kernel", "leaders"],
+        ),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -211,7 +243,7 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0",
          "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
          "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
-         "coeff_bool"],
+         "coeff_bool", "jet_beyond_length"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

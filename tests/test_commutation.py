@@ -391,10 +391,26 @@ def hs_systems(draw):
     return gamma, DField(spec, gamma, action, check=False)
 
 
+def assert_pair_terms_match_c(gamma):
+    """`pair_terms` lists every nonzero gamma.c(l, i, j), l ascending in `ops`."""
+    want = {}
+    for i, j, l in itertools.product(gamma.ops, repeat=3):
+        if c := gamma.c(l, i, j):
+            want.setdefault((i, j), []).append((l, c))
+    assert gamma.pair_terms == want
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in files("opfield").joinpath("fixtures").iterdir()
+                                        if p.name.startswith(("gamma_", "dfield_"))))
+def test_pair_terms_of_fixtures(name):
+    assert_pair_terms_match_c(load_gamma(files("opfield") / "fixtures" / name).gamma)
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=lie_systems())
 def test_check_jacobi_matches_dense_reference(system):
     gamma, field = system
+    assert_pair_terms_match_c(gamma)
     assert _verdict_or_error(check_jacobi, gamma, field) == _verdict_or_error(dense_jacobi, gamma, field)
     # without a field, a non-constant coefficient is a SpecError on both sides
     assert _verdict_or_error(check_jacobi, gamma, None) == _verdict_or_error(dense_jacobi, gamma, None)
@@ -418,6 +434,7 @@ def test_jacobi_identity_fails_on_a_derivative_term():
 @given(system=hs_systems())
 def test_check_associative_matches_dense_reference(system):
     gamma, field = system
+    assert_pair_terms_match_c(gamma)
     assert (_verdict_or_error(check_associative, gamma, field)
             == _verdict_or_error(dense_associative, gamma, field))
     assert (_verdict_or_error(check_associative, gamma, None)

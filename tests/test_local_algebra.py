@@ -186,6 +186,23 @@ def test_tensor_validates_bigger():
     assert t.d == 3
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_builders_equal_their_validated_dumps(char):
+    # the builders check their tables in from_table, without the JSON front end
+    small = [truncation_algebra(n, char) for n in (1, 2, 3, 4)] + [derivation_algebra(m, char) for m in (0, 2, 3)]
+    built = small + [tensor(a, b) for a in small for b in small if 1 < a.dim * b.dim <= 12]
+    for alg in built:
+        again = validate(dump_algebra(alg))
+        assert (again, again.d, again.rows) == (alg, alg.d, alg.rows)
+
+
+def test_builders_reject_bad_sizes():
+    with pytest.raises(SpecError, match="dimension"):
+        truncation_algebra(0)
+    with pytest.raises(SpecError, match="dimension"):
+        derivation_algebra(-1)
+
+
 def test_coordinate_arity_checked():
     with pytest.raises(SpecError):
         DVector(dual_numbers(), (Fraction(1),))
@@ -218,7 +235,7 @@ def dense_validate(spec):
     raw = {}
     for entry in spec["products"]:
         for i, c in entry["coeffs"].items():
-            raw[(entry["p"], entry["q"], int(i))] = fs.scalar(c)
+            raw[(entry["p"], entry["q"], int(i))] = fs.coerce(c)
     for (p, q, i), c in raw.items():
         if raw.get((q, p, i), c) != c:
             raise AlgebraError("COMM_FAIL", witness=(i, p, q))
@@ -394,6 +411,6 @@ def test_mul_matches_dense_product(spec, data):
     except AlgebraError:
         return
     coords = st.lists(st.integers(-3, 3), min_size=alg.dim, max_size=alg.dim)
-    a = [alg.field.scalar(x) for x in data.draw(coords)]
-    b = [alg.field.scalar(x) for x in data.draw(coords)]
+    a = [alg.field.coerce(x) for x in data.draw(coords)]
+    b = [alg.field.coerce(x) for x in data.draw(coords)]
     assert list((alg.vector(a) * alg.vector(b)).coords) == dense_product(alg, a, b)
