@@ -148,7 +148,7 @@ def cmd_dfield_apply(args) -> int:
     value = field.partial(op, expr)
     report.put("op", args.op)
     report.put("expr", args.expr)
-    report.put("value", str(value))
+    report.put("value", field.gamma.domain.text(value))
     report.emit()
     return OK
 
@@ -168,7 +168,7 @@ def cmd_free_table(args) -> int:
                     "op": f"{op[0]},{op[1]}",
                     "index": windex,
                     "value": [
-                        ["[" + ";".join(f"{u},{i}" for (u, i) in w) + "]", str(c)]
+                        ["[" + ";".join(f"{u},{i}" for (u, i) in w) + "]", gamma.domain.text(c)]
                         for w, c in sorted(image.items())
                     ],
                 }

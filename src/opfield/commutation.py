@@ -14,7 +14,7 @@ from itertools import product
 from math import comb
 
 from .local_algebra import LocalAlgebra, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
-from .polynomials import Frac, PolyRing, parse_frac
+from .polynomials import FracDomain, PolyRing
 from .scalars import FieldSpec, SpecError
 
 
@@ -54,8 +54,9 @@ class GammaSystem:
         if d2 is not None and d2.field.char != self.fieldspec.char:
             raise SpecError("base field and D2 characteristics differ")
         self.ring = base_ring(self.fieldspec)
-        self.lie = {k: c for k, v in lie.items() if (c := self._coeff(v))}
-        self.hs = {k: c for k, v in hs.items() if (c := self._coeff(v))}
+        self.domain = FracDomain(self.ring)  # every coefficient is a value of it
+        self.lie = {k: c for k, v in lie.items() if (c := self.domain.coerce(v))}
+        self.hs = {k: c for k, v in hs.items() if (c := self.domain.coerce(v))}
         if self.hs and self.fieldspec.char == 0:
             raise SpecError("HS coefficients require positive characteristic")
         if self.hs and d2 is None:
@@ -78,11 +79,6 @@ class GammaSystem:
             for (i, j, l), c in sorted(table.items()):
                 self.pair_terms.setdefault(((u, i), (u, j)), []).append(((u, l), c))
 
-    def _coeff(self, v) -> Frac:
-        if isinstance(v, str):
-            return parse_frac(self.ring, v)
-        return Frac.of(v, self.ring)
-
     @property
     def m1(self) -> int:
         return self.d1.m
@@ -103,11 +99,11 @@ class GammaSystem:
             raise SpecError("no HS-side algebra")
         return self.d2
 
-    def zero(self) -> Frac:
-        return Frac.of(0, self.ring)
+    def zero(self):
+        return self.domain.coerce(0)
 
-    def c(self, l, i, j) -> Frac:
-        """Mixed-type coefficient accessor: zero across types."""
+    def c(self, l, i, j):
+        """c_l^{ij} as a value of `domain`; zero across types."""
         if i[0] != j[0] or i[0] != l[0]:
             return self.zero()
         table = self.lie if i[0] == 1 else self.hs
@@ -121,10 +117,10 @@ class GammaSystem:
 
     def check_hom(self, which: int) -> Verdict:
         if which == 1:
-            return hom_verdict(self.d1, self.lie, "lie", self.ring)
+            return hom_verdict(self.d1, self.lie, "lie")
         if self.d2 is None:
             return PASS
-        return hom_verdict(self.d2, self.hs, "hs", self.ring)
+        return hom_verdict(self.d2, self.hs, "hs")
 
     def __repr__(self):
         return (
@@ -157,32 +153,23 @@ def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     return out
 
 
-def _tensor_image(alg: LocalAlgebra, coeffs: dict, kind: str, ring: PolyRing, l: int) -> dict:
-    """r(e_l) as a dict (i, j) -> coefficient in the base field."""
-    one = Frac.of(1, ring)
+def _tensor_image(alg: LocalAlgebra, coeffs: dict, kind: str, l: int) -> dict:
+    """r(e_l) as a dict (i, j) -> coefficient in the base field: 1 (x) e_l,
+    plus e_l (x) 1 on the HS side, plus each nonzero c_l^{ij}, in the (j, i)
+    tensor slot on the Lie side and in (i, j) on the HS side."""
+    one = alg.field.one
     if l == 0:
         return {(0, 0): one}
-    img: dict = {}
-    if kind == "lie":
-        img[(0, l)] = one
-        for (i, j, ll), c in coeffs.items():
-            if ll == l and c:
-                # the (j, i) tensor slot carries c_l^{ij}
-                cur = img.get((j, i))
-                img[(j, i)] = c if cur is None else cur + c
-    else:
-        img[(l, 0)] = one
-        img[(0, l)] = img.get((0, l), Frac.of(0, ring)) + one
-        for (i, j, ll), c in coeffs.items():
-            if ll == l and c:
-                cur = img.get((i, j))
-                img[(i, j)] = c if cur is None else cur + c
-    return {k: v for k, v in img.items() if v}
+    img: dict = {(0, l): one} if kind == "lie" else {(l, 0): one, (0, l): one}
+    for (i, j, ll), c in coeffs.items():
+        if ll == l and c:
+            img[(j, i) if kind == "lie" else (i, j)] = c
+    return img
 
 
-def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str, ring: PolyRing) -> Verdict:
+def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str) -> Verdict:
     """Does the coefficient table define a multiplicative map on the algebra?"""
-    images = {l: _tensor_image(alg, coeffs, kind, ring, l) for l in range(alg.m + 1)}
+    images = {l: _tensor_image(alg, coeffs, kind, l) for l in range(alg.m + 1)}
     for p in range(1, alg.m + 1):
         for q in range(p, alg.m + 1):
             lhs = _tensor_mul(alg, images[p], images[q])
@@ -205,13 +192,15 @@ def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str, ring: PolyRing) -> V
 # coefficient-identity validators
 # ---------------------------------------------------------------------------
 
-def coeff_partial(field, op, value: Frac) -> Frac:
-    """d_op of a coefficient in `field`, for an operator op = (u, i) with i >= 1.
+def coeff_partial(field, op, value):
+    """d_op of a base-field value in `field`, for an operator op = (u, i) with
+    i >= 1.
 
     A constant has derivative 0 (the argument behind `DField.e`'s constant
-    path), so only a non-constant coefficient needs the field."""
-    if value.num.is_const() and value.den.is_const():
-        return Frac.of(0, value.ring)
+    path), returned as the int 0, which values of every field add and
+    compare with; so only a non-constant coefficient needs the field."""
+    if FracDomain.is_const(value):
+        return 0
     if field is None:
         raise SpecError("non-constant coefficients need an operator field")
     return field.partial(op, value)
@@ -354,10 +343,10 @@ def iterative_hs_coeffs(p: int, n: int) -> GammaSystem:
     return GammaSystem(trivial_algebra(p), alg, {}, hs)
 
 
-def _ext_table(alg: LocalAlgebra, coeffs: dict, ring: PolyRing) -> dict:
+def _ext_table(alg: LocalAlgebra, coeffs: dict) -> dict:
     """The nonzero HS coefficients {(i, j, l): c} extended to index 0 rows and
     columns."""
-    one = Frac.of(1, ring)
+    one = alg.field.one
     out = {(0, 0, 0): one}
     for p in range(1, alg.m + 1):
         out[(0, p, p)] = out[(p, 0, p)] = one
@@ -366,25 +355,23 @@ def _ext_table(alg: LocalAlgebra, coeffs: dict, ring: PolyRing) -> dict:
 
 
 def hs_tensor_reduce(systems) -> tuple[LocalAlgebra, dict]:
-    """Fold HS systems into one on the tensor algebra, coefficients multiplying."""
-    systems = list(systems)
+    """Fold HS systems into one on the tensor algebra, coefficients multiplying
+    as scalars of the prime field."""
+    systems = [(alg, {k: alg.field.coerce(v) for k, v in coeffs.items()}) for alg, coeffs in systems]
     if not systems:
         raise SpecError("nothing to reduce")
     acc_alg, acc_coeffs = systems[0]
-    ring = base_ring(FieldSpec(char=acc_alg.field.char))
-    acc_coeffs = {k: Frac.of(v, ring) for k, v in acc_coeffs.items()}
     for alg, coeffs in systems[1:]:
-        coeffs = {k: Frac.of(v, ring) for k, v in coeffs.items()}
-        acc_alg, acc_coeffs = _reduce_pair(acc_alg, acc_coeffs, alg, coeffs, ring)
+        acc_alg, acc_coeffs = _reduce_pair(acc_alg, acc_coeffs, alg, coeffs)
     return acc_alg, acc_coeffs
 
 
-def _reduce_pair(a: LocalAlgebra, ca: dict, b: LocalAlgebra, cb: dict, ring: PolyRing):
+def _reduce_pair(a: LocalAlgebra, ca: dict, b: LocalAlgebra, cb: dict):
     combined = tensor(a, b)
     index = {ij: k + 1 for k, ij in enumerate(tensor_basis_pairs(a, b))}
-    ext_b = _ext_table(b, cb, ring)
+    ext_b = _ext_table(b, cb)
     out: dict = {}
-    for (i1, j1, l1), c1 in _ext_table(a, ca, ring).items():
+    for (i1, j1, l1), c1 in _ext_table(a, ca).items():
         for (i2, j2, l2), c2 in ext_b.items():
             # (0, 0) is the unit, not a tensor basis index
             key = (index.get((i1, i2)), index.get((j1, j2)), index.get((l1, l2)))

@@ -5,11 +5,11 @@ transcendental adjoints."""
 
 from __future__ import annotations
 
-from .commutation import GammaSystem, base_ring
+from .commutation import GammaSystem
 from .free_module import FreeCalculus
 from .groebner import Ideal
 from .local_algebra import DVector
-from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
+from .polynomials import Frac, FracDomain, Poly, PolyRing
 from .scalars import FieldSpec, SpecError
 
 
@@ -64,13 +64,7 @@ class DField:
         self.action: dict = {}
         for op in gamma.ops:
             per_gen = action.get(op, {}) if isinstance(action.get(op, {}), dict) else {}
-            row = {}
-            for g in spec.gens:
-                v = per_gen.get(g, 0)
-                if isinstance(v, str):
-                    v = parse_frac(self.ring, v)
-                row[g] = Frac.of(v, self.ring)
-            self.action[op] = row
+            self.action[op] = {g: self.scalar(per_gen.get(g, 0)) for g in spec.gens}
         for op in action:
             if op not in self.action:
                 raise SpecError(f"action for unknown operator {op}")
@@ -86,8 +80,9 @@ class DField:
     def gen(self, name: str) -> Frac:
         return Frac(self.ring.var(name), self.ring.one, normalize=False)
 
-    def scalar(self, x) -> Frac:
-        return Frac.of(x, self.ring)
+    def scalar(self, x):
+        """x as a value of the field: the one coercion, to `gamma.domain`."""
+        return self.gamma.domain.coerce(x)
 
     def _images(self, u: int) -> dict:
         cached = self._gen_images.get(u)
@@ -108,14 +103,14 @@ class DField:
         zero = self.scalar(0)
 
         def embed(c):
-            return DVector(alg, (Frac.of(c, self.ring),) + (zero,) * alg.m)
+            return DVector(alg, (self.scalar(c),) + (zero,) * alg.m)
 
         return embed
 
     def e(self, u: int, x) -> DVector:
         """The full operator homomorphism into D_u(K)."""
-        x = Frac.of(x, self.ring)
-        if x.num.is_const() and x.den.is_const():
+        x = self.scalar(x)
+        if FracDomain.is_const(x):
             # a prime-field element: every operator kills it
             return self._coeff_image(u)(x)
         return ehom_frac(x, self._images(u), self._coeff_image(u))
@@ -132,14 +127,14 @@ class DField:
 
         return embed
 
-    def partial(self, op, x) -> Frac:
+    def partial(self, op, x):
         u, i = op
         if i == 0:
-            return Frac.of(x, self.ring)
+            return self.scalar(x)
         return self.e(u, x).coords[i]
 
-    def partial_word(self, word, x) -> Frac:
-        value = Frac.of(x, self.ring)
+    def partial_word(self, word, x):
+        value = self.scalar(x)
         for op in reversed(word):
             value = self.partial(op, value)
         return value
@@ -165,19 +160,9 @@ class DField:
     def extend_transcendental(self, name: str, values: dict) -> "DField":
         """Adjoin a fresh generator with the declared operator values."""
         new_spec = FieldSpec(self.spec.char, self.spec.gens + (name,))
-        new_gamma = _reanchor(self.gamma, new_spec)
-        new_ring = new_gamma.ring
-        new_action: dict = {}
-        for op in self.ops:
-            row = {}
-            for g in self.spec.gens:
-                row[g] = _lift_frac(self.action[op][g], new_ring)
-            v = values.get(op, 0)
-            if isinstance(v, str):
-                v = parse_frac(new_ring, v)
-            row[name] = Frac.of(v, new_ring)
-            new_action[op] = row
-        return DField(new_spec, new_gamma, new_action)
+        # the new field coerces the old values and the new ones
+        new_action = {op: {**self.action[op], name: values.get(op, 0)} for op in self.ops}
+        return DField(new_spec, _reanchor(self.gamma, new_spec), new_action)
 
     def adjunction_ring(self, name: str) -> PolyRing:
         """Univariate ring over this field, for presenting minimal polynomials."""
@@ -187,16 +172,9 @@ class DField:
         return f"DField(char={self.spec.char}, gens={list(self.spec.gens)})"
 
 
-def _lift_frac(x: Frac, new_ring: PolyRing) -> Frac:
-    return Frac(new_ring.lift(x.num), new_ring.lift(x.den))
-
-
 def _reanchor(gamma: GammaSystem, spec: FieldSpec) -> GammaSystem:
     """The same system over `spec`, whose generators extend the system's."""
-    ring = base_ring(spec)
-    lie = {k: _lift_frac(v, ring) for k, v in gamma.lie.items()}
-    hs = {k: _lift_frac(v, ring) for k, v in gamma.hs.items()}
-    return GammaSystem(gamma.d1, gamma.d2, lie, hs, spec)
+    return GammaSystem(gamma.d1, gamma.d2, gamma.lie, gamma.hs, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +268,4 @@ def extend_inseparable_decide(field: DField, name: str, f: Poly) -> bool:
         raise SpecError("inseparable extensions need positive characteristic")
     if f.deriv(0):
         raise SpecError("polynomial is separable; use extend_separable")
-    for (d,), c in f.terms.items():
-        base = c if isinstance(c, Frac) else Frac.of(c, field.ring)
-        if not field.is_constant(base):
-            return False
-    return True
+    return all(field.is_constant(c) for c in f.terms.values())

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from .commutation import GammaSystem, coeff_partial
 from .indices import Op, Word, chi, is_hs, op_key, rho
-from .polynomials import Frac
 
-FreeVector = dict  # Word -> Frac coefficient
+FreeVector = dict  # Word -> coefficient, a value of gamma.domain
 
 
 class FreeCalculus:
@@ -22,15 +21,14 @@ class FreeCalculus:
         every coefficient is a constant."""
         self.gamma = gamma
         self.field = field
-        self.ring = gamma.ring
         self._memo: dict = {}
 
     # -- vector helpers ------------------------------------------------------
     def zero(self) -> FreeVector:
         return {}
 
-    def one_coeff(self) -> Frac:
-        return Frac.of(1, self.ring)
+    def one_coeff(self):
+        return self.gamma.domain.one
 
     def wvec(self, word: Word) -> FreeVector:
         return {tuple(word): self.one_coeff()}
@@ -47,7 +45,7 @@ class FreeCalculus:
         return out
 
     def scale(self, c, a: FreeVector) -> FreeVector:
-        c = Frac.of(c, self.ring)
+        c = self.gamma.domain.coerce(c)
         if not c:
             return {}
         return {k: c * v for k, v in a.items()}

@@ -359,10 +359,6 @@ class Kernel:
         return [str(g) for g in self.ideal.groebner()]
 
     # -- diagnostics ------------------------------------------------------------
-    def in_radical(self, f: Poly) -> bool:
-        """Radical membership: I : f^∞ is the unit ideal."""
-        return any(g.is_const() for g in self.ideal.saturate(f).groebner())
-
     def radical_diagnostic(self) -> list[str]:
         """Primality is assumed, never verified; this spot-check flags leader
         classifications whose crucial non-membership fails radically. Neither
@@ -377,7 +373,7 @@ class Kernel:
                 ("leading-coefficient", self._leading_v_coeff(info.witness, idx)),
                 ("separant", info.witness.deriv(idx)),
             ):
-                if poly and self.in_radical(poly):
+                if poly and self.ideal.in_radical(poly):
                     warnings.append(
                         f"{jet_name(info.t, info.word)}: {label} lies in the radical "
                         "but not the ideal; the presentation is not prime"
@@ -456,10 +452,7 @@ def specialize_check(kernel: Kernel, values) -> Verdict:
     if len(values) != kernel.n:
         raise SpecError(f"expected {kernel.n} values")
     K = kernel.field
-    values = [
-        parse_frac(K.ring, v) if isinstance(v, str) else Frac.of(v, K.ring)
-        for v in values
-    ]
+    values = [K.scalar(v) for v in values]
     table = {}
     for idx, (word, t) in enumerate(kernel.jets):
         table[idx] = K.partial_word(word, values[t - 1])

@@ -49,11 +49,13 @@ LEX = Lex()
 
 @dataclass(frozen=True)
 class FracDomain:
-    """Fraction-field coefficients over a base polynomial ring.
+    """The fraction field of a base polynomial ring: the one form of a value
+    of a base field K, be it a jet-ring coefficient, a Γ coefficient, a
+    free-module coefficient or an operator value.
 
-    Over a base with no generators the fraction field is the scalar field,
-    so coefficients are plain `Fraction` / `Fp` values, printed as the
-    constant `Frac` they stand for."""
+    When K has no generators it is Q or F_p itself, and its values are plain
+    `Fraction` / `Fp` scalars, printed as the constant `Frac` they stand for;
+    otherwise they are `Frac`s of the base ring."""
 
     base: "PolyRing"
 
@@ -68,11 +70,19 @@ class FracDomain:
         return Frac(self.base.one, self.base.one)
 
     def coerce(self, x):
+        """x as a value of K, from a scalar, a `Poly` or `Frac` over K's
+        generators or text in them (`parse_frac`). A `Frac` may also come
+        from a subfield, one whose generators are a prefix of K's."""
+        if isinstance(x, str):
+            x = parse_frac(self.base, x)
         if isinstance(x, Poly):
             x = Frac(x, x.ring.one)
         if isinstance(x, Frac):
-            if x.ring is not self.base and x.ring != self.base:
-                raise SpecError("fraction from a different base ring")
+            ring = x.ring
+            if ring is not self.base and ring != self.base:
+                if ring.domain != self.base.domain or ring.names != self.base.names[: ring.nvars]:
+                    raise SpecError("fraction from a different base ring")
+                x = Frac(self.base.lift(x.num), self.base.lift(x.den))
             return x if self.base.names else x.num.const_value() / x.den.const_value()
         x = self.base.domain.coerce(x)
         return Frac(self.base.const(x), self.base.one) if self.base.names else x
@@ -80,13 +90,21 @@ class FracDomain:
     def is_element(self, x):
         return isinstance(x, (Frac, Poly, Fraction, Fp, int))
 
-    def to_str(self, x):
-        if isinstance(x, Frac):
-            return f"({x})"
-        # what str() of the constant Frac gives, without building that Frac
+    @staticmethod
+    def is_const(x) -> bool:
+        """Is x, a value of some base field, a prime-field element?"""
+        return not isinstance(x, Frac) or (x.num.is_const() and x.den.is_const())
+
+    @staticmethod
+    def text(x) -> str:
+        """x as reports print it: what str() of the constant `Frac` gives for
+        a scalar, such as (1)/(2), without building that `Frac`."""
         if isinstance(x, Fraction) and x.denominator != 1:
-            return f"(({x.numerator})/({x.denominator}))"
-        return f"({x})"
+            return f"({x.numerator})/({x.denominator})"
+        return str(x)
+
+    def to_str(self, x):
+        return f"({self.text(x)})"
 
 
 # ---------------------------------------------------------------------------

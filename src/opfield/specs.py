@@ -86,8 +86,8 @@ def _coeff_entries(data, key) -> list:
     out = []
     for entry in spec_json(data.get(key, []), "list", key):
         try:
-            out.append((int(entry["i"]), int(entry["j"]), int(entry["l"]), entry["c"]))
-        except (KeyError, TypeError, ValueError):
+            out.append(tuple(spec_int(entry[k], k) for k in "ijl") + (entry["c"],))
+        except (KeyError, TypeError, ValueError):  # SpecError is a ValueError
             raise SpecFileError(f"bad {key} entry {entry!r}")
     return out
 
@@ -177,12 +177,12 @@ def dump_dfield(field: DField) -> dict:
         for op in gamma.ops:
             v = field.action[op][g]
             if v:
-                row[f"{op[0]},{op[1]}"] = str(v)
+                row[f"{op[0]},{op[1]}"] = gamma.domain.text(v)
         if row:
             out["action"][g] = row
     for key, table in (("lie", gamma.lie), ("hs", gamma.hs)):
         entries = [
-            {"i": i, "j": j, "l": l, "c": str(c)}
+            {"i": i, "j": j, "l": l, "c": gamma.domain.text(c)}
             for (i, j, l), c in sorted(table.items())
         ]
         if entries:
@@ -201,7 +201,7 @@ def dump_gamma(gamma: GammaSystem, field: DField | None = None) -> dict:
         out["d2"] = dump_algebra(gamma.d2)
     for key, table in (("lie", gamma.lie), ("hs", gamma.hs)):
         out[key] = [
-            {"i": i, "j": j, "l": l, "c": str(c)}
+            {"i": i, "j": j, "l": l, "c": gamma.domain.text(c)}
             for (i, j, l), c in sorted(table.items())
         ]
     if field is not None:

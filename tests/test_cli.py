@@ -38,6 +38,13 @@ def with_dfield(kernel_spec, **fields):
     return kernel_spec | {"dfield": kernel_spec["dfield"] | fields}
 
 
+def with_lie_index(value):
+    """gamma_sl2 with the i index of its first Lie entry, 1, written as `value`."""
+    spec = fixture("gamma_sl2.json")
+    spec["lie"][0]["i"] = value
+    return spec
+
+
 def run_json(argv, capsys):
     code = main(["--format", "json"] + argv)
     out = capsys.readouterr().out
@@ -235,6 +242,9 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
             {"dfield": {"char": 0, "gens": [], "action": {}}, "n": 1, "r": 1, "relations": ["x1_[1,1;1,1]"]},
             ["kernel", "leaders"],
         ),
+        (with_lie_index(1.5), ["gamma", "check"]),
+        (with_lie_index(True), ["gamma", "check"]),
+        (with_lie_index("1"), ["gamma", "check"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -243,7 +253,8 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "dfield_gen_int", "dfield_file_list", "jet_op_out_of_range", "jet_op_index_0",
          "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
          "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
-         "coeff_bool", "jet_beyond_length"],
+         "coeff_bool", "jet_beyond_length", "gamma_index_float", "gamma_index_bool",
+         "gamma_index_str"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:

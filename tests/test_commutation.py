@@ -69,8 +69,7 @@ def test_check_hom_iterative_passes():
 def test_check_hom_char0_additive_fails():
     # r(e) = e(x)1 + 1(x)e with zero c's on Q[e]/(e^2): r(e)^2 = 2 e(x)e != 0
     alg = derivation_algebra(1)
-    ring = base_ring(FieldSpec(char=0))
-    v = hom_verdict(alg, {}, "hs", ring)
+    v = hom_verdict(alg, {}, "hs")
     assert not v and v.witness == (1, 1)
 
 
@@ -80,7 +79,6 @@ def test_check_hom_canonical_embedding():
 
 
 def test_check_hom_lie_with_nonzero_products():
-    from opfield.commutation import base_ring
     from opfield.local_algebra import null_set, validate
 
     # e1^2 = e2: coefficients targeting the product index break multiplicativity
@@ -89,10 +87,9 @@ def test_check_hom_lie_with_nonzero_products():
         "products": [{"p": 1, "q": 1, "coeffs": {"3": 1}}],
     })
     assert null_set(alg) == {2, 3}
-    ring = base_ring(FieldSpec(char=0))
-    bad = hom_verdict(alg, {(2, 3, 3): 1, (3, 2, 3): -1}, "lie", ring)
+    bad = hom_verdict(alg, {(2, 3, 3): 1, (3, 2, 3): -1}, "lie")
     assert not bad and bad.witness == (1, 1)
-    good = hom_verdict(alg, {(2, 3, 1): 1, (3, 2, 1): -1}, "lie", ring)
+    good = hom_verdict(alg, {(2, 3, 1): 1, (3, 2, 1): -1}, "lie")
     assert good
 
 

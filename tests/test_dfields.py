@@ -261,3 +261,44 @@ def test_extend_inseparable_decide():
     assert extend_inseparable_decide(K, "a", a * a - aring.one) is True
     # s is constant by declaration: extendable
     assert extend_inseparable_decide(K, "a", a * a - aring.const(s)) is True
+
+
+def _base_field_values(field) -> list:
+    """Γ coefficients, `d_word` coefficients up to order 2, operator values
+    and scalars of `field`: every kind of value of its base field."""
+    gamma, fc = field.gamma, field.fc
+    values = list(gamma.lie.values()) + list(gamma.hs.values()) + [gamma.zero(), fc.one_coeff()]
+    for word in normal_words_upto(gamma.m1, gamma.m2, 2):
+        for op in gamma.ops:
+            values += fc.d_word(op, word).values()
+    x = field.gen(field.spec.gens[0]) if field.spec.gens else field.scalar(Fraction(5, 3))
+    values += [field.scalar(7), field.partial_word(gamma.ops[:2], x)]
+    values += [field.partial(op, x) for op in gamma.ops]
+    return values
+
+
+def test_base_field_values_take_the_jet_coefficient_form():
+    from importlib.resources import files
+
+    from opfield.commutation import hs_tensor_reduce
+    from opfield.scalars import Fp
+    from opfield.specs import load_gamma
+
+    fixtures = files("opfield") / "fixtures"
+    # no generators: plain scalars, as the coefficients of a jet ring over the field
+    sl2 = load_gamma(fixtures / "gamma_sl2.json")
+    hs = load_gamma(fixtures / "gamma_iterative_2_2.json")
+    assert sl2.gamma.lie and hs.gamma.hs
+    for field, kind in ((sl2, Fraction), (hs, Fp)):
+        values = _base_field_values(field)
+        assert all(type(v) is kind for v in values), {type(v) for v in values}
+    _, coeffs = hs_tensor_reduce([(hs.gamma.d2, hs.gamma.hs)] * 2)
+    assert coeffs and all(type(c) is Fp for c in coeffs.values())
+    # over Q(t), the same system re-anchored: every value is a Frac of Q[t]
+    spec = FieldSpec(char=0, gens=("t",))
+    bare = GammaSystem(derivation_algebra(2), None, {(1, 2, 1): Fraction(1, 2), (2, 1, 1): Fraction(-1, 2)}, {})
+    qt = DField(spec, bare, {(1, 1): {"t": 1}, (1, 2): {"t": "t/2"}})
+    assert qt.gamma.ring.names == ("t",) and qt.gamma.lie
+    values = _base_field_values(qt)
+    assert all(type(v) is Frac and v.ring == qt.ring for v in values)
+    assert qt.gamma.lie[(1, 2, 1)] == qt.scalar(Fraction(1, 2))

@@ -146,6 +146,15 @@ def test_saturate_default_ideal(rxy):
     assert (saturated.gens, saturated.groebner()) == ((x * y,), (x * y,))
 
 
+def test_in_radical_reads_the_saturated_basis_only(rxy, monkeypatch):
+    # rad(x^2*y) = (x*y); the verdict needs no generator list, so no membership test
+    x, y = rxy.var("x"), rxy.var("y")
+    ideal = Ideal(rxy, [x**2 * y])
+    monkeypatch.setattr(Ideal, "contains", lambda self, f: pytest.fail("membership test"))
+    assert ideal.in_radical(x * y) and ideal.in_radical(x**3 * y**2)
+    assert not ideal.in_radical(x) and not ideal.in_radical(x + y)
+
+
 def test_ideal_is_unhashable(rxy):
     # equal ideals may have different generators, so no hash can agree with ==
     x, y = rxy.var("x"), rxy.var("y")

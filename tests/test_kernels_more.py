@@ -101,10 +101,10 @@ def test_radical_diagnostic():
     field = constant_field(trivial_derivation())
     clean = Kernel(field, 1, 1, ["x1_[1,1] - x1_[]^2"])
     assert clean.radical_diagnostic() == []
-    assert clean.in_radical(clean.jet_var(1, ((1, 1),)).num - clean.jet_var(1, ()).num ** 2)
-    assert not clean.in_radical(clean.jet_var(1, ()).num)
+    assert clean.ideal.in_radical(clean.jet_var(1, ((1, 1),)).num - clean.jet_var(1, ()).num ** 2)
+    assert not clean.ideal.in_radical(clean.jet_var(1, ()).num)
     # a visibly non-prime presentation: the square of a flow relation
     shady = Kernel(field, 1, 1, ["(x1_[1,1] - x1_[]^2)^2"], check=False)
     g = shady.jet_var(1, ((1, 1),)).num - shady.jet_var(1, ()).num ** 2
-    assert shady.in_radical(g) and not shady.ideal.contains(g)
+    assert shady.ideal.in_radical(g) and not shady.ideal.contains(g)
     assert shady.radical_diagnostic() != []

@@ -401,3 +401,19 @@ def test_subst(rxy):
     scaled = (2 * x * x - y).subst({0: t, 1: rt.one}, coeff=lambda c: t * c)
     assert scaled == 2 * t**3 - t
     assert rxy.zero.subst({}, coeff=lambda c: t * c) == rt.zero
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_frac_domain_text_is_str_of_the_constant_frac(char):
+    base = PolyRing((), FieldSpec(char))
+    dom = FracDomain(base)
+    for n in range(-7, 8):
+        for k in range(1, 8):
+            if char and k % char == 0:
+                continue
+            x = dom.coerce(Fraction(n, k))
+            assert dom.text(x) == str(Frac.of(x, base))
+            assert dom.to_str(x) == f"({Frac.of(x, base)})"
+    rt = PolyRing(("t",), FieldSpec(char))
+    value = parse_frac(rt, "(t + 1)/(2*t)") if char != 2 else parse_frac(rt, "(t + 1)/t")
+    assert FracDomain(rt).text(value) == str(value)

@@ -4,7 +4,8 @@ of in-process CLI calls, each in text and in json format.
 The calls cover every fixture's validator, `free table` and `spec canonical`,
 the kernel commands on the four kernel fixtures, and one input per FAIL code
 of the checks that a refactor is most likely to touch, with the leader
-reports of an inseparable and of a non-prime kernel. A change that must not
+reports of an inseparable and of a non-prime kernel, and the checks, `free
+table` and `spec canonical` of an sl2 system with non-integer coefficients. A change that must not
 alter any report keeps every pin. After an intended output change, re-record
 with `PYTHONPATH=src python tests/test_report_pins.py --record`.
 """
@@ -14,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -56,6 +58,11 @@ def _fail_specs():
     """[(file name, spec, argv before the file)]: one input per FAIL code, and
     the kernels whose leader reports read an INSEPARABLE entry or print a
     radical warning."""
+    # sl2 with every bracket coefficient halved: still a Lie bracket, and the
+    # one input whose reports print non-integer constants such as (1)/(2)
+    halved = _fixture("gamma_sl2.json")
+    for entry in halved["lie"]:
+        entry["c"] = str(Fraction(entry["c"]) / 2)
     sl2 = _fixture("gamma_sl2.json")
     for entry in sl2["lie"]:
         if (entry["i"], entry["j"], entry["l"]) == (1, 2, 3):
@@ -117,6 +124,10 @@ def _fail_specs():
         ("non_prime.json", non_prime, leaders),
         ("non_prime.json", non_prime, leaders + ["--radical-spot-check"]),
         ("hs_collapse.json", hs_collapse, ["kernel", "prolong"]),
+    ] + [
+        ("sl2_halved.json", halved, argv)
+        for argv in (["gamma", "check"], ["gamma", "check", "--jacobi"], ["gamma", "check", "--assoc"],
+                     ["free", "table", "--order", "2", "--gamma"], ["spec", "canonical"])
     ]
 
 
