@@ -92,6 +92,11 @@ class GammaSystem:
         """All operator indices, ascending in the index order."""
         return [(2, i) for i in range(1, self.m2 + 1)] + [(1, i) for i in range(1, self.m1 + 1)]
 
+    @property
+    def families(self) -> list[int]:
+        """The u with at least one operator (u, i), in the order of `ops`."""
+        return [u for u, m in ((2, self.m2), (1, self.m1)) if m]
+
     def algebra(self, u: int) -> LocalAlgebra:
         if u == 1:
             return self.d1
@@ -153,23 +158,26 @@ def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     return out
 
 
-def _tensor_image(alg: LocalAlgebra, coeffs: dict, kind: str, l: int) -> dict:
-    """r(e_l) as a dict (i, j) -> coefficient in the base field: 1 (x) e_l,
-    plus e_l (x) 1 on the HS side, plus each nonzero c_l^{ij}, in the (j, i)
-    tensor slot on the Lie side and in (i, j) on the HS side."""
+def _coproduct(alg: LocalAlgebra, coeffs: dict, kind: str) -> dict:
+    """r(e_l) for every l = 0..m, built in one pass over the coefficient
+    table, as {l: {(i, j): coefficient in the base field}}: 1 (x) 1 for l = 0;
+    otherwise 1 (x) e_l, plus e_l (x) 1 on the HS side, plus each nonzero
+    c_l^{ij}, in the (j, i) tensor slot on the Lie side and in (i, j) on the
+    HS side. An entry with an index 0 is skipped, as those slots hold the unit
+    terms already written, and so is one whose l is no basis index."""
     one = alg.field.one
-    if l == 0:
-        return {(0, 0): one}
-    img: dict = {(0, l): one} if kind == "lie" else {(l, 0): one, (0, l): one}
-    for (i, j, ll), c in coeffs.items():
-        if ll == l and c:
-            img[(j, i) if kind == "lie" else (i, j)] = c
-    return img
+    images: dict = {0: {(0, 0): one}}
+    for l in range(1, alg.m + 1):
+        images[l] = {(0, l): one} if kind == "lie" else {(l, 0): one, (0, l): one}
+    for (i, j, l), c in coeffs.items():
+        if i and j and c and 0 < l <= alg.m:
+            images[l][(j, i) if kind == "lie" else (i, j)] = c
+    return images
 
 
 def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str) -> Verdict:
     """Does the coefficient table define a multiplicative map on the algebra?"""
-    images = {l: _tensor_image(alg, coeffs, kind, l) for l in range(alg.m + 1)}
+    images = _coproduct(alg, coeffs, kind)
     for p in range(1, alg.m + 1):
         for q in range(p, alg.m + 1):
             lhs = _tensor_mul(alg, images[p], images[q])
@@ -343,17 +351,6 @@ def iterative_hs_coeffs(p: int, n: int) -> GammaSystem:
     return GammaSystem(trivial_algebra(p), alg, {}, hs)
 
 
-def _ext_table(alg: LocalAlgebra, coeffs: dict) -> dict:
-    """The nonzero HS coefficients {(i, j, l): c} extended to index 0 rows and
-    columns."""
-    one = alg.field.one
-    out = {(0, 0, 0): one}
-    for p in range(1, alg.m + 1):
-        out[(0, p, p)] = out[(p, 0, p)] = one
-    out.update({(i, j, l): c for (i, j, l), c in coeffs.items() if i and j and l})
-    return out
-
-
 def hs_tensor_reduce(systems) -> tuple[LocalAlgebra, dict]:
     """Fold HS systems into one on the tensor algebra, coefficients multiplying
     as scalars of the prime field."""
@@ -369,10 +366,16 @@ def hs_tensor_reduce(systems) -> tuple[LocalAlgebra, dict]:
 def _reduce_pair(a: LocalAlgebra, ca: dict, b: LocalAlgebra, cb: dict):
     combined = tensor(a, b)
     index = {ij: k + 1 for k, ij in enumerate(tensor_basis_pairs(a, b))}
-    ext_b = _ext_table(b, cb)
+    # c_{(l1,l2)}^{(i1,i2),(j1,j2)} = c_{l1}^{i1 j1} c_{l2}^{i2 j2}, over the
+    # coproduct tables with their unit terms
+    ext_a, ext_b = (
+        [(i, j, l, c) for l, img in _coproduct(alg, cs, "hs").items()
+         for (i, j), c in img.items()]
+        for alg, cs in ((a, ca), (b, cb))
+    )
     out: dict = {}
-    for (i1, j1, l1), c1 in _ext_table(a, ca).items():
-        for (i2, j2, l2), c2 in ext_b.items():
+    for (i1, j1, l1, c1) in ext_a:
+        for (i2, j2, l2, c2) in ext_b:
             # (0, 0) is the unit, not a tensor basis index
             key = (index.get((i1, i2)), index.get((j1, j2)), index.get((l1, l2)))
             if None not in key and (c := c1 * c2):

@@ -5,6 +5,8 @@ transcendental adjoints."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .commutation import GammaSystem
 from .free_module import FreeCalculus
 from .groebner import Ideal
@@ -63,8 +65,10 @@ class DField:
         self.ring = gamma.ring
         self.action: dict = {}
         for op in gamma.ops:
-            per_gen = action.get(op, {}) if isinstance(action.get(op, {}), dict) else {}
-            self.action[op] = {g: self.scalar(per_gen.get(g, 0)) for g in spec.gens}
+            row = action.get(op, {})
+            if not isinstance(row, Mapping) or not set(row).issubset(spec.gens):
+                raise SpecError(f"action of {op} must map field generators to values, got {row!r}")
+            self.action[op] = {g: self.scalar(row.get(g, 0)) for g in spec.gens}
         for op in action:
             if op not in self.action:
                 raise SpecError(f"action for unknown operator {op}")
@@ -140,18 +144,22 @@ class DField:
         return value
 
     def is_constant(self, x) -> bool:
-        return all(not self.partial(op, x) for op in self.ops)
+        return not any(any(self.e(u, x).coords[1:]) for u in self.gamma.families)
 
     def validate_gamma(self):
-        """Commutation identities on every generator; sufficient for the field."""
+        """Commutation identities on every generator; sufficient for the field.
+
+        d_j g is the declared action[j][g], and d_i d_j g is coordinate i of
+        e_u(d_j g) for i's family u: one e_u per (g, j, u) serves (i, j) and (j, i)."""
+        families = self.gamma.families
         for g in self.spec.gens:
-            gv = self.gen(g)
-            firsts = {op: self.partial(op, gv) for op in self.ops}
+            firsts = {op: self.action[op][g] for op in self.ops}
+            seconds = {(u, j): self.e(u, firsts[j]).coords for j in self.ops for u in families}
             for i in self.ops:
                 for j in self.ops:
-                    chi = 0 if (i[0] == 2 and j[0] == 2) else 1
-                    lhs = self.partial(i, firsts[j])
-                    rhs = self.scalar(0) if not chi else self.partial(j, firsts[i])
+                    lhs = seconds[(i[0], j)][i[1]]
+                    # chi = 0 between two HS operators: no d_j d_i g term
+                    rhs = self.scalar(0) if i[0] == j[0] == 2 else seconds[(j[0], i)][j[1]]
                     for l, c in self.gamma.pair_terms.get((i, j), ()):
                         rhs = rhs + c * firsts[l]
                     if lhs != rhs:

@@ -205,9 +205,10 @@ class Kernel:
         if self.r < 1:
             return
         for g in self.lower_order_basis(self.r - 1):
+            # one e_u per family: its coordinates are every d_(u, i) g
+            images = {u: self.e(u, Frac(g, self.ring.one)).coords for u in self.gamma.families}
             for op in self.gamma.ops:
-                image = self.partial(op, Frac(g, self.ring.one))
-                if self.ideal.normal_form(image.num):
+                if self.ideal.normal_form(images[op[0]][op[1]].num):
                     raise KernelError(
                         "GAMMA_FAIL",
                         "relations are not closed under the operators",

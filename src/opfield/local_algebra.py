@@ -8,6 +8,7 @@ map is projection to coordinate 0.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .scalars import FieldSpec, SpecError, spec_int, spec_json
@@ -83,7 +84,8 @@ class LocalAlgebra:
         return DVector(self, tuple(coords))
 
     def basis_vector(self, p: int) -> "DVector":
-        return self.vector(_basis_vec(self, p))
+        zero = (self.field.zero,)
+        return self.vector(zero * p + (self.field.one,) + zero * (self.m - p))
 
     def __repr__(self):
         return f"LocalAlgebra(char={self.field.char}, dim={self.dim}, grades={list(self.grades)})"
@@ -131,10 +133,6 @@ def _row_reduce(rows):
         if r == len(rows):
             break
     return [row for row in rows[:r] if any(row)]
-
-
-def _span_dim(vectors) -> int:
-    return len(_row_reduce(vectors))
 
 
 def validate(spec: dict) -> LocalAlgebra:
@@ -195,7 +193,8 @@ def from_table(fs: FieldSpec, dim: int, grades, table: dict) -> LocalAlgebra:
             nonzero[(min(p, q), max(p, q), i)] = c
 
     alg = LocalAlgebra(
-        fs, m, grades, tuple((p, q, i, c) for (p, q, i), c in sorted(nonzero.items())), 0
+        fs, m, grades, tuple((p, q, i, c) for (p, q, i), c in sorted(nonzero.items())),
+        grades[-1] if m else 0,
     )
 
     # span of e_1..e_m must be an ideal: no unit component in products
@@ -224,32 +223,22 @@ def from_table(fs: FieldSpec, dim: int, grades, table: dict) -> LocalAlgebra:
         if alg.sigma(p) + alg.sigma(q) > alg.sigma(i):
             raise AlgebraError("RANK_FAIL", witness=(i, p, q))
 
-    d_actual = 0
-    for j in range(1, m + 2):
-        if filtration[j - 1]:
-            d_actual = j
-
-    # declared grades must reproduce the computed filtration. Passing at
-    # j = d + 1 (m^{d+1} = 0) leaves no grade above d, and passing at j = d
-    # (m^d != 0) leaves some grade of at least d, so the largest grade is d.
-    for j in range(1, d_actual + 2):
-        declared = [_basis_vec(alg, p)[1:] for p in range(1, m + 1) if alg.sigma(p) >= j]
-        actual = filtration[j - 1] if j - 1 < len(filtration) else []
-        dd, da = _span_dim(declared), _span_dim(actual)
-        if not (dd == da == _span_dim(declared + actual)):
+    # declared grades must reproduce the computed filtration. Passing RANK_FAIL
+    # puts m^j inside F_j, the span of the e_p of grade >= j: a product of j
+    # basis vectors lands on grades summing to at least j. So m^j = F_j exactly
+    # when their dimensions agree, and dim F_j counts the grades >= j (they
+    # are sorted). Passing at j = d + 1 leaves m^{d+1} = 0 and passing at j = d
+    # leaves m^d = F_d != 0, so d is the nilpotency degree. A grade above that
+    # degree fails by the first zero power, where the filtration list ends.
+    for j in range(1, alg.d + 2):
+        if len(filtration[j - 1]) != m - bisect_left(grades, j):
             raise AlgebraError(
                 "RANK_FAIL",
                 witness=("grade-filtration", j),
                 detail="declared grades disagree with computed ideal powers",
             )
 
-    return LocalAlgebra(fs, m, grades, alg.table, d_actual)
-
-
-def _basis_vec(alg: LocalAlgebra, p: int) -> list:
-    out = [alg.field.zero] * (alg.m + 1)
-    out[p] = alg.field.one
-    return out
+    return alg
 
 
 def _mul_coords(alg: LocalAlgebra, a: list, b: list) -> list:
@@ -282,7 +271,8 @@ def _times_basis(alg: LocalAlgebra, vec: dict, r: int) -> dict:
 
 
 def _ideal_filtration(alg: LocalAlgebra):
-    """Powers of span(e_1..e_m) as row-reduced coordinate lists (coords 1..m)."""
+    """Powers of span(e_1..e_m) as row-reduced coordinate lists (coords 1..m),
+    up to the first zero power or to the (m+1)-th."""
     fs, m = alg.field, alg.m
     current = [[fs.one if i == p else fs.zero for i in range(1, m + 1)] for p in range(1, m + 1)]
     powers = [current]
@@ -298,8 +288,6 @@ def _ideal_filtration(alg: LocalAlgebra):
         powers.append(reduced)
         if not reduced:
             break
-    while len(powers) < m + 1:
-        powers.append([])
     return powers
 
 

@@ -218,18 +218,17 @@ def load_kernel(source, base_dir: Path | None = None) -> Kernel:
     for key in ("n", "r"):
         if key not in data:
             raise SpecFileError(f"kernel spec missing field {key!r}")
-    gamma_ref = data.get("gamma")
-    if "gamma" in data and not isinstance(gamma_ref, (str, dict)):
-        raise SpecFileError(f"gamma must be a path or a JSON object, got {gamma_ref!r}")
-    if isinstance(gamma_ref, str) or (isinstance(gamma_ref, dict) and "field" in gamma_ref):
-        field = load_gamma(gamma_ref, base_dir)
+    # a path and an inline object name the same gamma: read it first, then
+    # lay its d1/d2/lie/hs over the kernel's dfield only when it describes
+    # no field of its own
+    gamma, gamma_dir = _load_json(data["gamma"], base_dir) if "gamma" in data else ({}, None)
+    if "dfield" in data and not any(k in gamma for k in ("field", "char", "gens", "action")):
+        overrides = {k: gamma[k] for k in ("d1", "d2", "lie", "hs") if k in gamma}
+        field = load_dfield(data["dfield"], base_dir, overrides=overrides)
+    elif "gamma" in data:
+        field = load_gamma(gamma, gamma_dir)
     else:
-        overrides = {}
-        if isinstance(gamma_ref, dict):
-            overrides = {k: v for k, v in gamma_ref.items() if k in ("d1", "d2", "lie", "hs")}
-        if "dfield" not in data:
-            raise SpecFileError("kernel spec needs a dfield or a gamma with a field")
-        field = load_dfield(data["dfield"], base_dir, overrides=overrides or None)
+        raise SpecFileError("kernel spec needs a dfield or a gamma")
     try:
         n, r = (spec_int(data[key], key) for key in ("n", "r"))
         relations = spec_json(data.get("relations", []), "list", "relations")

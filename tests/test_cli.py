@@ -245,6 +245,7 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
         (with_lie_index(1.5), ["gamma", "check"]),
         (with_lie_index(True), ["gamma", "check"]),
         (with_lie_index("1"), ["gamma", "check"]),
+        ({"n": 1, "r": 1, "relations": []}, ["kernel", "leaders"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -254,7 +255,7 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
          "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
          "coeff_bool", "jet_beyond_length", "gamma_index_float", "gamma_index_bool",
-         "gamma_index_str"],
+         "gamma_index_str", "kernel_no_gamma_no_dfield"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
@@ -353,6 +354,27 @@ def test_kernel_leaders_cli(capsys):
     statuses = {e["jet"]: e["status"] for e in data["entries"]}
     assert statuses["x1_[]"] == "FREE"
     assert statuses["x1_[1,1]"] == "SEPARABLE"
+
+
+def test_kernel_gamma_slot_path_and_inline_read_alike(tmp_path, capsys):
+    shutil.copy(FIXTURES / "gamma_sl2.json", tmp_path)
+    kernel = {"n": 1, "r": 1, "relations": ["x1_[1,1]"]}
+    outputs = []
+    for slot in ("gamma_sl2.json", fixture("gamma_sl2.json")):
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(kernel | {"gamma": slot}))
+        assert main(["kernel", "leaders", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "x1_[1,3]: FREE" in outputs[0]  # the gamma's own three derivations
+
+
+def test_kernel_gamma_without_a_field_overrides_the_dfield():
+    d1 = {"char": 0, "dim": 3, "grades": [1, 1], "products": []}
+    dfield = {"char": 0, "gens": ["t"], "action": {"t": {"1,1": "1"}}}
+    kernel = load_kernel({"dfield": dfield, "gamma": {"d1": d1}, "n": 1, "r": 1,
+                          "relations": ["x1_[1,2] - t"]})
+    assert kernel.field.spec.gens == ("t",) and kernel.gamma.m1 == 2
 
 
 def test_kernel_prolong_roundtrips(tmp_path, capsys):

@@ -19,7 +19,7 @@ from opfield.groebner import Ideal
 from opfield.indices import normal_words_upto
 from opfield.local_algebra import derivation_algebra, trivial_algebra, truncation_algebra
 from opfield.polynomials import Frac, parse_frac
-from opfield.scalars import FieldSpec
+from opfield.scalars import FieldSpec, SpecError
 from opfield.specs import dump_gamma
 
 
@@ -131,6 +131,27 @@ def test_gamma_validation_rejects_noncommuting():
     # da x = 1, db x = x gives [da, db] x = 1 != 0
     with pytest.raises(GammaFail):
         DField(spec, gamma, {(1, 1): {"x": 1}, (1, 2): {"x": "x"}})
+
+
+def test_validate_gamma_makes_one_e_per_generator_operator_and_family(monkeypatch):
+    # Q(s, t) under two commuting derivations: t' = (1, 0), s' = (0, s/2 + 1)
+    spec = FieldSpec(char=0, gens=("s", "t"))
+    K = DField(spec, GammaSystem(derivation_algebra(2), None, {}, {}, spec),
+               {(1, 1): {"t": 1}, (1, 2): {"s": "s/2 + 1"}}, check=False)
+    calls = []
+    e = DField.e
+    monkeypatch.setattr(DField, "e", lambda self, u, x: calls.append(u) or e(self, u, x))
+    K.validate_gamma()
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("row", ["t", {"s": 1}])
+def test_malformed_action_row_rejected(row):
+    # a row that is not a mapping, and a key that is no generator of Q(t)
+    spec = FieldSpec(char=0, gens=("t",))
+    gamma = GammaSystem(derivation_algebra(1), None, {}, {}, spec)
+    with pytest.raises(SpecError):
+        DField(spec, gamma, {(1, 1): row})
 
 
 def test_extend_transcendental():

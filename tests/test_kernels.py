@@ -142,6 +142,17 @@ def test_lifted_lex_basis_is_the_prolonged_reduced_basis(name):
         k = new
 
 
+def test_validate_makes_one_e_per_lower_order_basis_element(monkeypatch):
+    k2 = load_kernel(FIXTURES / "kernel_equal_flows.json").prolong()
+    kernel = Kernel(k2.field, k2.n, k2.r, k2.ideal.gens, check=False)
+    assert len(kernel.lower_order_basis(k2.r - 1)) == 2
+    calls = []
+    e = Kernel.e
+    monkeypatch.setattr(Kernel, "e", lambda self, u, x: calls.append(u) or e(self, u, x))
+    kernel.validate()
+    assert calls == [1, 1]
+
+
 def test_prolong_generic_adds_nothing():
     k = generic_two_derivations(r=1)
     k2 = k.prolong()

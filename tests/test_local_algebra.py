@@ -68,6 +68,14 @@ def test_validate_grade_vs_filtration():
     assert e.value.code == "RANK_FAIL"
 
 
+def test_validate_grade_far_above_dim_fails_at_once():
+    # the filtration check stops by j = m + 1, not at the largest grade
+    spec = {"char": 0, "dim": 3, "grades": [1, 1000000], "products": []}
+    with pytest.raises(AlgebraError) as e:
+        validate(spec)
+    assert (e.value.code, e.value.witness) == ("RANK_FAIL", ("grade-filtration", 2))
+
+
 def test_commutativity_and_associativity_hold():
     alg = truncation_algebra(4)
     for p in range(1, 4):
