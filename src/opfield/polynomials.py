@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -63,7 +64,7 @@ class FracDomain:
     def char(self):
         return self.base.domain.char
 
-    @property
+    @cached_property
     def one(self):
         if not self.base.names:
             return self.base.domain.one
@@ -117,7 +118,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?:\[[0-9,;]*\])?")
 class PolyRing:
     """Polynomial ring with a fixed ordered list of variable names."""
 
-    __slots__ = ("names", "domain", "_index")
+    __slots__ = ("names", "domain", "_index", "one")
 
     def __init__(self, names, domain=None):
         self.names = tuple(names)
@@ -125,9 +126,11 @@ class PolyRing:
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
+        # one shared Poly: Poly.__init__ copies its dict and nothing mutates .terms in place
+        self.one = Poly(self, {(0,) * len(self.names): self.domain.one})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.domain == other.domain
@@ -147,10 +150,6 @@ class PolyRing:
     @property
     def zero(self) -> "Poly":
         return Poly(self, {})
-
-    @property
-    def one(self) -> "Poly":
-        return self.const(self.domain.one)
 
     def const(self, c) -> "Poly":
         c = self.domain.coerce(c)
@@ -395,7 +394,17 @@ def _rat_content(p: Poly) -> Fraction:
 
 
 class Frac:
-    """Normalized fraction of polynomials from one ring."""
+    """Normalized fraction of polynomials from one ring.
+
+    A sum or product of two fractions with denominator `ring.one` is already
+    normalized, so it is built as is: nothing cancels against one, and the
+    scale is right. Over Q the content scaling makes a denominator-one
+    fraction's coefficients integers, and integer sums and products stay
+    integer; over F_p and a `FracDomain` the denominator need only be monic.
+    So every `Frac` over `ring.one` must be normalized: each `normalize=False`
+    site passing `ring.one` builds a variable, a constant over a `FracDomain`,
+    or the negation or power of a normalized fraction. Keep it that way.
+    """
 
     __slots__ = ("num", "den")
 
@@ -438,6 +447,9 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        one = self.ring.one
+        if self.den == one and other.den == one:
+            return Frac(self.num + other.num, one, normalize=False)
         return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -458,6 +470,9 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        one = self.ring.one
+        if self.den == one and other.den == one:
+            return Frac(self.num * other.num, one, normalize=False)
         return Frac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -538,8 +553,10 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     dom = ring.domain
     zero = (0,) * ring.nvars
     if len(den.terms) == 1 and zero in den.terms:
-        c = den.terms[zero]
-        num, den = Poly(ring, {e: v / c for e, v in num.terms.items()}), ring.one
+        if den != ring.one:  # dividing by one would rebuild every term unchanged
+            c = den.terms[zero]
+            num = Poly(ring, {e: v / c for e, v in num.terms.items()})
+        den = ring.one
     else:
         nvars = num.variables() | den.variables()
         if len(nvars) == 1:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -521,3 +522,14 @@ def test_algebra_validate_fuzzed_fixtures_exit_cleanly(fuzz_dir, spec):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["algebra", "validate", str(path)])
     assert code in (0, 1, 2), err.getvalue()
+
+
+def test_gamma_check_jacobi_on_an_empty_table_is_fast(tmp_path, capsys):
+    # D1 is inferred with 30 derivations and the one entry is zero: the m^4
+    # Jacobi loop took about 5 s here before the empty-table early exit
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"char": 0, "gens": [], "action": {}, "lie": [{"i": 30, "j": 30, "l": 1, "c": "0"}]}))
+    start = time.perf_counter()
+    assert main(["gamma", "check", str(spec), "--jacobi"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "PASS" in capsys.readouterr().out

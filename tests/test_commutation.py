@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 from fractions import Fraction
 from importlib.resources import files
 
@@ -149,6 +150,14 @@ def test_associative_iterative():
 def test_associative_trivial_table():
     g = GammaSystem(trivial_algebra(5), truncation_algebra(2, char=5), {}, {})
     assert check_associative(g)
+
+
+def test_associative_empty_table_skips_the_index_loops():
+    # m = 30: the m^4 loop took over a second before the early exit
+    g = GammaSystem(trivial_algebra(2), derivation_algebra(30, char=2), {}, {})
+    start = time.perf_counter()
+    assert check_associative(g)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_associative_identity_violation():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
 from opfield.kernels import Kernel
@@ -324,6 +326,76 @@ def test_constant_denominator_divides_like_exact_div(char, num_terms, c, d):
     theirs = _normalize_general(exact_div(num, den), ring.one)
     assert ours == theirs
     assert [str(p) for p in ours] == [str(p) for p in theirs]
+
+
+# the coefficient rings of every kind a `Frac` meets: Q, F_p, the bare
+# fraction field of a ring with no generators (jet rings over Q) and Q(t)
+_DEN_ONE_DOMAINS = {
+    "q": FieldSpec(0), "f2": FieldSpec(2), "f3": FieldSpec(3), "f7": FieldSpec(7),
+    "bare": FracDomain(PolyRing(())), "qt": FracDomain(PolyRing(("t",))),
+}
+_DEN_ONE_TERMS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), NONZERO, NONZERO), max_size=3)
+
+
+def _den_one_frac(kind, ring, terms) -> Frac:
+    """A normalized `Frac` of `ring` with denominator one; over Q its
+    coefficients are integers, as normalization makes them."""
+    dom = ring.domain
+
+    def coeff(n, k):
+        if kind == "qt":
+            return _qt_coeff(dom.base, n, k)
+        return Fraction(n, k) if kind == "bare" else dom.coerce(n)
+
+    num = sum((Poly(ring, {(i, j): coeff(n, k)}) for i, j, n, k in terms), ring.zero)
+    f = Frac(num, ring.one)
+    assert f.den == ring.one
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DEN_ONE_DOMAINS)), _DEN_ONE_TERMS, _DEN_ONE_TERMS)
+def test_denominator_one_fast_paths_match_general(kind, a_terms, b_terms):
+    # a + b, a - b and a * b skip normalization; the pairs the general
+    # formula builds, normalized, must be the same pairs and print the same
+    ring = PolyRing(("x", "y"), _DEN_ONE_DOMAINS[kind])
+    a, b = _den_one_frac(kind, ring, a_terms), _den_one_frac(kind, ring, b_terms)
+    cases = [
+        (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+        (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+        (a * b, a.num * b.num, a.den * b.den),
+        (a - a, a.num * a.den - a.num * a.den, a.den * a.den),
+    ]
+    for fast, num, den in cases:
+        ref = _normalize_general(num, den) if num else (ring.zero, ring.one)
+        assert (fast.num.terms, fast.den.terms) == (ref[0].terms, ref[1].terms)
+        assert str(fast) == str(Frac(*ref, normalize=False))
+        assert [type(c) for c in fast.num.terms.values()] == [type(c) for c in ref[0].terms.values()]
+
+
+def test_cached_ones_are_shared_and_never_drift(monkeypatch, capsys):
+    ring = PolyRing(("x", "y"))
+    assert ring.one is ring.one
+    dom = FracDomain(PolyRing(("t",)))
+    assert dom.one is dom.one
+
+    rings = []
+    init = PolyRing.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rings.append(self)
+
+    monkeypatch.setattr(PolyRing, "__init__", recording_init)
+    fixture = files("opfield") / "fixtures" / "kernel_riccati_qt.json"
+    assert main(["kernel", "realize", str(fixture), "--r", "1", "--order", "4"]) == 0
+    capsys.readouterr()
+    assert any(isinstance(r.domain, FracDomain) and r.domain.base.names for r in rings)
+    for r in rings:
+        one = r.domain.one
+        assert r.one.terms == {(0,) * r.nvars: one}
+        if isinstance(one, Frac):
+            assert (one.num.terms, one.den.terms) == ({(0,) * r.domain.base.nvars: Fraction(1)},) * 2
 
 
 @given(CHARS, NONZERO, NONZERO)
