@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from math import comb
 
 from .local_algebra import LocalAlgebra, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
@@ -135,26 +134,33 @@ class GammaSystem:
 
 
 # ---------------------------------------------------------------------------
-# tensor-square scratch arithmetic for the homomorphism check
+# sparse sums, and tensor-square arithmetic for the homomorphism check
 # ---------------------------------------------------------------------------
+
+def accumulate(out: dict, c, terms) -> dict:
+    """out += c * terms, in place: `out` is a sparse vector {key: value} and
+    `terms` an iterable of (key, value) pairs. An entry that cancels is
+    dropped, so `out` holds only nonzero values. Returns `out`."""
+    if c:
+        for key, v in terms:
+            add = c * v
+            cur = out.get(key)
+            cur = add if cur is None else cur + add
+            if cur:
+                out[key] = cur
+            elif key in out:
+                del out[key]
+    return out
+
 
 def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     out: dict = {}
     for (a, b), ca in A.items():
         for (c, d), cb in B.items():
             coeff = ca * cb
-            if not coeff:
-                continue
             row2 = ext_row(alg, b, d)
             for i, f1 in ext_row(alg, a, c).items():
-                for j, f2 in row2.items():
-                    add = coeff * f1 * f2
-                    cur = out.get((i, j))
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        out[(i, j)] = cur
-                    elif (i, j) in out:
-                        del out[(i, j)]
+                accumulate(out, coeff * f1, (((i, j), f2) for j, f2 in row2.items()))
     return out
 
 
@@ -183,14 +189,7 @@ def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str) -> Verdict:
             lhs = _tensor_mul(alg, images[p], images[q])
             rhs: dict = {}
             for i, a in ext_row(alg, p, q).items():
-                for key, c in images[i].items():
-                    add = c * a
-                    cur = rhs.get(key)
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        rhs[key] = cur
-                    elif key in rhs:
-                        del rhs[key]
+                accumulate(rhs, a, images[i].items())
             if lhs != rhs:
                 return Verdict(False, "HOM_FAIL", (p, q))
     return PASS
@@ -223,12 +222,23 @@ def _memo_partials(field, u: int, c):
 
 
 def _by_target(alg: LocalAlgebra) -> dict:
-    """{(i, q): [(p, alpha_i^{pq}), ...]} over the nonzero structure constants."""
+    """{i: [(p, q, alpha_i^{pq}), ...]} over the nonzero structure constants."""
     out: dict = {}
     for (p, q), row in sorted(alg.rows.items()):
         for i, a in row.items():
-            out.setdefault((i, q), []).append((p, a))
+            out.setdefault(i, []).append((p, q, a))
     return out
+
+
+def _triples(gamma: GammaSystem, u: int, m: int) -> list:
+    """The (i, j, k), ascending, at which (i, j), (j, k) or (k, i) keys a
+    nonzero coefficient of family u; m is that family's dimension."""
+    out: set = set()
+    for (v, i), (_, j) in gamma.pair_terms:
+        if v == u:
+            for k in range(1, m + 1):
+                out.update(((i, j, k), (k, i, j), (j, k, i)))
+    return sorted(out)
 
 
 def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
@@ -247,61 +257,65 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
     The identity visits every (p, y, z, r) those conditions would, so with no
     field a non-constant coefficient raises `SpecError` here as well.
 
-    Every term of both conditions carries a coefficient c, and `_memo_partials`
-    gives zero for a zero one, so an empty table passes without the loops;
-    `check_associative` exits early on an empty HS table for the same reason.
+    Both checks visit only what a nonzero coefficient reaches. Each term of
+    either identity at (i, j, k, r) carries some c^{xy}, (x, y) a cyclic pair
+    of (i, j, k) (`_triples`), and `_memo_partials` gives zero for a zero c.
+    At a triple both sides are sparse vectors over r; the reached r are
+    compared in ascending order, taking the derivatives there, so the witness
+    and any `SpecError` come as in the loop over all m^4 tuples.
     """
-    if not gamma.lie:
-        return PASS
-    idx = range(1, gamma.m1 + 1)
     zero = gamma.zero()
 
     def c(i, j, l):
         return gamma.lie.get((i, j, l), zero)
 
-    dc = _memo_partials(field, 1, c)
-    pair_terms = gamma.pair_terms
-
-    for i, j, l in product(idx, repeat=3):
-        # skew-symmetry with zero diagonal (the diagonal matters in char 2)
+    # skew-symmetry with zero diagonal (the diagonal matters in char 2); an
+    # entry can fail only when it or its mirror is nonzero
+    for i, j, l in sorted(gamma.lie.keys() | {(j, i, l) for i, j, l in gamma.lie}):
         if (i == j and c(i, i, l)) or c(i, j, l) + c(j, i, l):
             return Verdict(False, "JACOBI_SKEW", (i, j, l))
 
-    for i, j, k, r in product(idx, repeat=4):
-        lhs = zero
+    dc = _memo_partials(field, 1, c)
+    terms = gamma.pair_terms
+    for i, j, k in _triples(gamma, 1, gamma.m1):
+        # a cyclic pair (x, y) reaches r through c_l^{xy} c_r^{lz} on the
+        # left and through d_z c_r^{xy} on the right
+        lhs, reached = {}, set()
         for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
-            for (_, l), cxy in pair_terms.get(((1, x), (1, y)), ()):
-                lhs = lhs + cxy * c(l, z, r)
-        rhs = dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r)
-        if lhs != rhs:
-            return Verdict(False, "JACOBI_IDENTITY", (i, j, k, r))
+            for l, cxy in terms.get(((1, x), (1, y)), ()):
+                reached.add(l)
+                accumulate(lhs, cxy, terms.get((l, (1, z)), ()))
+        for _, r in sorted(reached | lhs.keys()):
+            if lhs.get((1, r), zero) != dc(i, j, k, r) + dc(k, i, j, r) + dc(j, k, i, r):
+                return Verdict(False, "JACOBI_IDENTITY", (i, j, k, r))
     return PASS
 
 
 def check_associative(gamma: GammaSystem, field=None) -> Verdict:
-    """The HS-side coefficient identity (composition closes correctly)."""
-    if gamma.d2 is None or not gamma.hs:
+    """The HS-side coefficient identity (composition closes correctly), on
+    the reached tuples as in `check_jacobi`; a triple's derivative terms are
+    taken before its first r, where the loop over all r takes them."""
+    if gamma.d2 is None:
         return PASS
-    idx = range(1, gamma.m2 + 1)
     zero = gamma.zero()
 
     def c(i, j, l):
         return gamma.hs.get((i, j, l), zero)
 
     dc = _memo_partials(field, 2, c)
-    pair_terms, alpha = gamma.pair_terms, _by_target(gamma.d2)
-
-    for i, j, k, r in product(idx, repeat=4):
-        lhs = zero
-        for (_, l), cij in pair_terms.get(((2, i), (2, j)), ()):
-            lhs = lhs + cij * c(l, k, r)
-        for (_, l), cjk in pair_terms.get(((2, j), (2, k)), ()):
-            lhs = lhs - cjk * c(i, l, r)
-            for q in idx:
-                for p, a in alpha.get((i, q), ()):
-                    lhs = lhs - a * dc(p, j, k, l) * c(q, l, r)
-        if lhs != dc(i, j, k, r):
-            return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
+    terms, alpha = gamma.pair_terms, _by_target(gamma.d2)
+    for i, j, k in _triples(gamma, 2, gamma.m2):
+        lhs: dict = {}
+        jk = terms.get(((2, j), (2, k)), ())
+        for l, cij in terms.get(((2, i), (2, j)), ()):
+            accumulate(lhs, cij, terms.get((l, (2, k)), ()))
+        for l, cjk in jk:
+            accumulate(lhs, -cjk, terms.get(((2, i), l), ()))
+            for p, q, a in alpha.get(i, ()):
+                accumulate(lhs, -a * dc(p, j, k, l[1]), terms.get(((2, q), l), ()))
+        for _, r in sorted(lhs.keys() | {l for l, _ in jk}):
+            if lhs.get((2, r), zero) != dc(i, j, k, r):
+                return Verdict(False, "ASSOC_IDENTITY", (i, j, k, r))
     return PASS
 
 

@@ -212,12 +212,8 @@ def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
     ring = f.ring
     zero = Frac.of(0, ring)
     out: dict = {}
-    for u in (1, 2):
-        if u == 2 and field.gamma.d2 is None:
-            continue
+    for u in sorted(field.gamma.families):
         alg = field.gamma.algebra(u)
-        if alg.m == 0:
-            continue
         embed = field.e_into(u, ring)
         embedded: dict = {}  # f's coefficients recur in every residual: embed each once
 

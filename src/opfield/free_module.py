@@ -9,7 +9,7 @@ coefficient tensors make the action commute correctly; the validators live in
 
 from __future__ import annotations
 
-from .commutation import GammaSystem, coeff_partial
+from .commutation import GammaSystem, accumulate, coeff_partial
 from .indices import Op, Word, chi, is_hs, op_key, rho
 
 FreeVector = dict  # Word -> coefficient, a value of gamma.domain
@@ -34,24 +34,13 @@ class FreeCalculus:
         return {tuple(word): self.one_coeff()}
 
     def add(self, a: FreeVector, b: FreeVector) -> FreeVector:
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return out
+        return accumulate(dict(a), self.one_coeff(), b.items())
 
     def scale(self, c, a: FreeVector) -> FreeVector:
-        c = self.gamma.domain.coerce(c)
-        if not c:
-            return {}
-        return {k: c * v for k, v in a.items()}
+        return accumulate({}, self.gamma.domain.coerce(c), a.items())
 
     def sub(self, a: FreeVector, b: FreeVector) -> FreeVector:
-        return self.add(a, self.scale(-1, b))
+        return accumulate(dict(a), -self.one_coeff(), b.items())
 
     def equal(self, a: FreeVector, b: FreeVector) -> bool:
         return not self.sub(a, b)
@@ -76,7 +65,7 @@ class FreeCalculus:
                     # both HS: the composition collapses through the coefficients
                     out = self.zero()
                     for l, c in terms:
-                        out = self.add(out, self.scale(c, self.d_word(l, tail)))
+                        accumulate(out, c, self.d_word(l, tail).items())
                 else:
                     out = self.wvec((op,) + word)
             else:
@@ -84,7 +73,7 @@ class FreeCalculus:
                 if not (is_hs(op) and is_hs(j)):
                     out = self.apply(j, self.d_word(op, tail))
                 for l, c in terms:
-                    out = self.add(out, self.scale(c, self.d_word(l, tail)))
+                    accumulate(out, c, self.d_word(l, tail).items())
         self._memo[key] = out
         return out
 
@@ -94,8 +83,8 @@ class FreeCalculus:
         for word, c in vec.items():
             dc = coeff_partial(self.field, op, c)
             if dc:
-                out = self.add(out, {word: dc})
-            out = self.add(out, self.scale(c, self.d_word(op, word)))
+                accumulate(out, dc, self.wvec(word).items())
+            accumulate(out, c, self.d_word(op, word).items())
             for p in self.gamma.ops:
                 if p[0] != op[0]:
                     continue
@@ -105,7 +94,7 @@ class FreeCalculus:
                 for q in self.gamma.ops:
                     a = self.gamma.alpha(op, p, q)
                     if a:
-                        out = self.add(out, self.scale(a * dpc, self.d_word(q, word)))
+                        accumulate(out, a * dpc, self.d_word(q, word).items())
         return out
 
     def apply_word(self, word: Word, vec: FreeVector) -> FreeVector:
@@ -129,5 +118,5 @@ class FreeCalculus:
         if not (is_hs(i) and is_hs(j)):
             rhs = self.apply(j, self.apply(i, w))
         for l, c in self.gamma.pair_terms.get((i, j), ()):
-            rhs = self.add(rhs, self.scale(c, self.apply(l, w)))
+            accumulate(rhs, c, self.apply(l, w).items())
         return self.sub(lhs, rhs)

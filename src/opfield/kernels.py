@@ -306,7 +306,7 @@ class Kernel:
 
         # the order-s leaders, in jet order (the report has one entry per jet)
         leaders = [(idx, e) for idx, e in enumerate(report.entries) if len(e.word) == s and e.is_leader]
-        images = {u: new._images(u) for u in (1, 2) if u == 1 or self.gamma.d2 is not None} if leaders else {}
+        images = {u: new._images(u) for u in sorted(self.gamma.families)} if leaders else {}
         solved: dict[tuple[Word, int], dict] = {}
         for idx, e in leaders:
             fprime = Frac(ring.lift(e.witness.deriv(idx)), ring.one)

@@ -571,7 +571,7 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         lc = den.lc()
         sign = -1 if lc < 0 else 1
         scale = 1 / (g * sign)
-        return num.scale(scale), den.scale(scale)
+        return (num, den) if scale == 1 else (num.scale(scale), den.scale(scale))
     # prime field or fraction coefficients: monic denominator
     lc = den.lc()
     one = dom.one

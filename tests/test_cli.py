@@ -524,9 +524,41 @@ def test_algebra_validate_fuzzed_fixtures_exit_cleanly(fuzz_dir, spec):
     assert code in (0, 1, 2), err.getvalue()
 
 
+@st.composite
+def mutated_gamma_specs(draw):
+    """A gamma fixture with one key dropped, one field of the wrong type or
+    one integer out of range, in the spec, one of its algebras or one of its
+    coefficient entries; and a `gamma check` mode."""
+    path = draw(st.sampled_from(sorted(FIXTURES.glob("gamma_*.json"))))
+    spec = json.loads(path.read_text())
+    parts = [spec] + [spec[k] for k in ("d1", "d2") if k in spec] + spec["lie"] + spec["hs"]
+    target = draw(st.sampled_from(parts))
+    key = draw(st.sampled_from(sorted(target)))
+    how = draw(st.sampled_from(("drop", "wrong_type", "out_of_range")))
+    if how == "drop":
+        del target[key]
+    elif how == "wrong_type":
+        target[key] = draw(WRONG_TYPES)
+    else:
+        target[key] = draw(st.one_of(st.integers(-3, 0), st.integers(1, 9), st.just(10**6)))
+    return spec, draw(st.sampled_from(("--jacobi", "--assoc", "--all")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_gamma_specs())
+def test_gamma_check_fuzzed_fixtures_exit_cleanly(fuzz_dir, case):
+    spec, mode = case
+    path = fuzz_dir / "gamma.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gamma", "check", str(path), mode])
+    assert code in (0, 1, 2), err.getvalue()
+
+
 def test_gamma_check_jacobi_on_an_empty_table_is_fast(tmp_path, capsys):
-    # D1 is inferred with 30 derivations and the one entry is zero: the m^4
-    # Jacobi loop took about 5 s here before the empty-table early exit
+    # D1 is inferred with 30 derivations and the one entry is zero, so no
+    # index triple is reached; visiting all m^4 tuples took about 5 s here
     spec = tmp_path / "empty.json"
     spec.write_text(json.dumps({"char": 0, "gens": [], "action": {}, "lie": [{"i": 30, "j": 30, "l": 1, "c": "0"}]}))
     start = time.perf_counter()

@@ -153,11 +153,29 @@ def test_associative_trivial_table():
 
 
 def test_associative_empty_table_skips_the_index_loops():
-    # m = 30: the m^4 loop took over a second before the early exit
+    # m = 30: no index triple is reached; visiting all m^4 tuples took 1.3 s
     g = GammaSystem(trivial_algebra(2), derivation_algebra(30, char=2), {}, {})
     start = time.perf_counter()
     assert check_associative(g)
     assert time.perf_counter() - start < 0.25
+
+
+def test_jacobi_one_skew_pair_visits_only_reached_triples():
+    # [d1, d2] = d3 among 30 derivations: 4.7 s over all m^4 tuples
+    g = GammaSystem(derivation_algebra(30), None, {(1, 2, 3): 1, (2, 1, 3): -1}, {})
+    start = time.perf_counter()
+    assert check_jacobi(g)
+    assert time.perf_counter() - start < 0.25
+
+
+def test_associative_on_the_two_factor_reduction_is_fast():
+    # m = 15: 0.19-0.26 s over all m^4 tuples
+    g = load_gamma(files("opfield") / "fixtures" / "gamma_iterative_2_2.json").gamma
+    combined = hs_system(*hs_tensor_reduce([(g.d2, g.hs)] * 2))
+    assert combined.m2 == 15
+    start = time.perf_counter()
+    assert check_associative(combined)
+    assert time.perf_counter() - start < 0.15
 
 
 def test_associative_identity_violation():
@@ -349,12 +367,35 @@ def null_shape_algebra(grades, product, a):
 
 
 @st.composite
+def sparse_table(draw, m: int, values, skew: bool):
+    """Entries c_l^{ij} = v at one or two drawn pairs (i, j), on an algebra
+    with m operators; with `skew`, c_l^{ji} = -v alongside."""
+    table = {}
+    for _ in range(draw(st.integers(1, 2))):
+        i, j, l = (draw(st.integers(1, m)) for _ in range(3))
+        v = draw(st.sampled_from(values))
+        table[(i, j, l)] = v
+        if skew:
+            table[(j, i, l)] = f"-({v})"
+    return draw(perturbed(table, m, values, skew))
+
+
+@st.composite
 def lie_systems(draw):
-    """Rescaled sl2 over Q or F_3 with constant coefficients, or a Lie system
+    """Rescaled sl2 over Q or F_3 with constant coefficients; a Lie system
     over Q(t) on a `NULL_SHAPES` algebra whose coefficients (on the null) and
-    derivative action are drawn; then at most one coefficient perturbed.
-    Returns (gamma, field)."""
-    if draw(st.booleans()):
+    derivative action are drawn; or one or two skew pairs among 4-7
+    derivations over Q(t), so that most index triples are not reached. Then
+    at most one coefficient perturbed. Returns (gamma, field)."""
+    kind = draw(st.sampled_from(("sl2", "null", "sparse")))
+    spec = FieldSpec(char=0, gens=("t",))
+    if kind == "sparse":
+        m = draw(st.integers(4, 7))
+        table = draw(sparse_table(m, COEFFS_T, skew=True))
+        gamma = GammaSystem(derivation_algebra(m), None, table, {}, spec)
+        action = {(1, p): {"t": draw(st.sampled_from(("0", "1", "t")))} for p in range(1, m + 1)}
+        return gamma, DField(spec, gamma, action, check=False)
+    if kind == "sl2":
         char = draw(st.sampled_from((0, 3)))
         s1, s2, s3 = (Fraction(draw(st.sampled_from((1, 2, -1, -2)))) for _ in range(3))
         lie = {(1, 2, 3): s1 * s2 / s3, (3, 1, 1): 2 * s3, (3, 2, 2): -2 * s3}
@@ -362,7 +403,6 @@ def lie_systems(draw):
         lie = {k: str(v) for k, v in lie.items()}
         lie = draw(perturbed(lie, 3, ("0", "1", "-1", "2"), skew=True))
         return GammaSystem(derivation_algebra(3, char), None, lie, {}), None
-    spec = FieldSpec(char=0, gens=("t",))
     grades, product, null = draw(st.sampled_from(NULL_SHAPES))
     m = len(grades)
     d1 = null_shape_algebra(grades, product, draw(st.sampled_from(("1", "2", "-1"))))
@@ -382,18 +422,28 @@ def lie_systems(draw):
 @st.composite
 def hs_systems(draw):
     """An iterative HS system on F_p[e]/(e^(p^n)), over F_p or F_p(t) with a
-    drawn action of the HS operators, with at most one coefficient perturbed.
-    Returns (gamma, field)."""
+    drawn action of the HS operators, with at most one coefficient perturbed;
+    or entries at one or two pairs on F_p[e]/(e^d), d from 4 to 6, over
+    F_p(t), so that most index triples are not reached. Returns (gamma, field)."""
     p, n = draw(st.sampled_from(((2, 1), (2, 2), (3, 1))))
-    base = iterative_hs_coeffs(p, n)
-    hs = {k: str(v) for k, v in base.hs.items()}
-    if draw(st.booleans()):
-        hs = draw(perturbed(hs, base.m2, ("0", "1", "2"), skew=False))
-        return GammaSystem(trivial_algebra(p), base.d2, {}, hs), None
+    kind = draw(st.sampled_from(("constant", "field", "sparse")))
+    if kind == "sparse":
+        d2 = truncation_algebra(draw(st.integers(4, 6)), char=p)
+    else:
+        base = iterative_hs_coeffs(p, n)
+        d2 = base.d2
+        hs = {k: str(v) for k, v in base.hs.items()}
+    if kind == "constant":
+        hs = draw(perturbed(hs, d2.m, ("0", "1", "2"), skew=False))
+        return GammaSystem(trivial_algebra(p), d2, {}, hs), None
     spec = FieldSpec(char=p, gens=("t",))
-    hs = draw(perturbed(hs, base.m2, ("0", "1", "t", "t + 1"), skew=False))
-    gamma = GammaSystem(trivial_algebra(p), base.d2, {}, hs, spec)
-    action = {(2, i): {"t": draw(st.sampled_from(("0", "1", "t")))} for i in range(1, base.m2 + 1)}
+    values = ("0", "1", "t", "t + 1")
+    if kind == "sparse":
+        hs = draw(sparse_table(d2.m, values, skew=False))
+    else:
+        hs = draw(perturbed(hs, d2.m, values, skew=False))
+    gamma = GammaSystem(trivial_algebra(p), d2, {}, hs, spec)
+    action = {(2, i): {"t": draw(st.sampled_from(("0", "1", "t")))} for i in range(1, d2.m + 1)}
     return gamma, DField(spec, gamma, action, check=False)
 
 
@@ -434,6 +484,23 @@ def test_jacobi_identity_fails_on_a_derivative_term():
     assert str(check_jacobi(gamma, field)) == "FAIL JACOBI_IDENTITY witness=(1, 2, 3, 2)"
     with pytest.raises(SpecError, match="non-constant"):
         check_jacobi(gamma)
+
+
+@pytest.mark.parametrize("a, b, x", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+def test_jacobi_witness_reached_through_one_cyclic_pair(a, b, x):
+    # at (1, 2, 3) only the cyclic pair (a, b) keys a coefficient, c_1^{ab} = t,
+    # and the identity reads 0 = d_x c_1^{ab} = 1: the witness is (1, 2, 3, 1)
+    # whichever of (i, j), (j, k) and (k, i) the pair is
+    spec = FieldSpec(char=0, gens=("t",))
+    gamma = GammaSystem(derivation_algebra(3), None, {(a, b, 1): "t", (b, a, 1): "-t"}, {}, spec)
+    field = DField(spec, gamma, {(1, x): {"t": "1"}}, check=False)
+    want = Verdict(False, "JACOBI_IDENTITY", (1, 2, 3, 1))
+    assert check_jacobi(gamma, field) == dense_jacobi(gamma, field) == want
+
+
+def test_jacobi_skew_witness_is_the_mirror_of_a_one_sided_entry():
+    gamma = GammaSystem(derivation_algebra(2), None, {(2, 1, 1): 1}, {})
+    assert check_jacobi(gamma) == dense_jacobi(gamma) == Verdict(False, "JACOBI_SKEW", (1, 2, 1))
 
 
 @settings(max_examples=40, deadline=None)
