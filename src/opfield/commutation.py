@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .local_algebra import LocalAlgebra, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra
+from .local_algebra import (
+    LocalAlgebra, accumulate, ext_row, null_set, tensor, tensor_basis_pairs, trivial_algebra, truncation_algebra,
+)
 from .polynomials import FracDomain, PolyRing
 from .scalars import FieldSpec, SpecError
 
@@ -113,12 +115,6 @@ class GammaSystem:
         table = self.lie if i[0] == 1 else self.hs
         return table.get((i[1], j[1], l[1]), self.zero())
 
-    def alpha(self, i, p, q):
-        """Mixed-type structure constants: zero across types."""
-        if i[0] != p[0] or i[0] != q[0]:
-            return self.fieldspec.zero
-        return self.algebra(i[0]).alpha(i[1], p[1], q[1])
-
     def check_hom(self, which: int) -> Verdict:
         if which == 1:
             return hom_verdict(self.d1, self.lie, "lie")
@@ -134,24 +130,8 @@ class GammaSystem:
 
 
 # ---------------------------------------------------------------------------
-# sparse sums, and tensor-square arithmetic for the homomorphism check
+# tensor-square arithmetic for the homomorphism check
 # ---------------------------------------------------------------------------
-
-def accumulate(out: dict, c, terms) -> dict:
-    """out += c * terms, in place: `out` is a sparse vector {key: value} and
-    `terms` an iterable of (key, value) pairs. An entry that cancels is
-    dropped, so `out` holds only nonzero values. Returns `out`."""
-    if c:
-        for key, v in terms:
-            add = c * v
-            cur = out.get(key)
-            cur = add if cur is None else cur + add
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-    return out
-
 
 def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     out: dict = {}
@@ -219,15 +199,6 @@ def _memo_partials(field, u: int, c):
     nonzero coefficients rather than with every index tuple visited."""
     nonzero = cache(lambda p, i, j, l: coeff_partial(field, (u, p), c(i, j, l)))
     return lambda p, i, j, l: nonzero(p, i, j, l) if c(i, j, l) else c(i, j, l)
-
-
-def _by_target(alg: LocalAlgebra) -> dict:
-    """{i: [(p, q, alpha_i^{pq}), ...]} over the nonzero structure constants."""
-    out: dict = {}
-    for (p, q), row in sorted(alg.rows.items()):
-        for i, a in row.items():
-            out.setdefault(i, []).append((p, q, a))
-    return out
 
 
 def _triples(gamma: GammaSystem, u: int, m: int) -> list:
@@ -303,7 +274,7 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
         return gamma.hs.get((i, j, l), zero)
 
     dc = _memo_partials(field, 2, c)
-    terms, alpha = gamma.pair_terms, _by_target(gamma.d2)
+    terms, alpha = gamma.pair_terms, gamma.d2.by_target
     for i, j, k in _triples(gamma, 2, gamma.m2):
         lhs: dict = {}
         jk = terms.get(((2, j), (2, k)), ())

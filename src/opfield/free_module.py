@@ -9,8 +9,9 @@ coefficient tensors make the action commute correctly; the validators live in
 
 from __future__ import annotations
 
-from .commutation import GammaSystem, accumulate, coeff_partial
+from .commutation import GammaSystem, coeff_partial
 from .indices import Op, Word, chi, is_hs, op_key, rho
+from .local_algebra import accumulate
 
 FreeVector = dict  # Word -> coefficient, a value of gamma.domain
 
@@ -78,23 +79,23 @@ class FreeCalculus:
         return out
 
     def apply(self, op: Op, vec: FreeVector) -> FreeVector:
-        """One operator step, with the twisted rule on coefficients."""
+        """One operator step, with the twisted rule on coefficients: d_i(c w)
+        adds d_i(c) w, c d_i(w) and alpha_i^{pq} d_p(c) d_q(w) over the
+        nonzero products e_p e_q of op's family."""
+        u, i = op
+        products = self.gamma.algebra(u).by_target.get(i, ())
         out = self.zero()
         for word, c in vec.items():
             dc = coeff_partial(self.field, op, c)
             if dc:
                 accumulate(out, dc, self.wvec(word).items())
             accumulate(out, c, self.d_word(op, word).items())
-            for p in self.gamma.ops:
-                if p[0] != op[0]:
-                    continue
-                dpc = coeff_partial(self.field, p, c)
-                if not dpc:
-                    continue
-                for q in self.gamma.ops:
-                    a = self.gamma.alpha(op, p, q)
-                    if a:
-                        accumulate(out, a * dpc, self.d_word(q, word).items())
+            partials: dict = {}
+            for p, q, a in products:
+                if p not in partials:
+                    partials[p] = coeff_partial(self.field, (u, p), c)
+                if partials[p]:
+                    accumulate(out, a * partials[p], self.d_word((u, q), word).items())
         return out
 
     def apply_word(self, word: Word, vec: FreeVector) -> FreeVector:

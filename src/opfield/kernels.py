@@ -42,7 +42,7 @@ def jet_name(t: int, word: Word) -> str:
     return f"x{t}_[{inner}]"
 
 
-_JET_RE = re.compile(r"^x(\d+)_\[([0-9,;]*)\]$")
+_JET_RE = re.compile(r"^x(\d+)_\[((?:\d+,\d+(?:;\d+,\d+)*)?)\]$")  # "u,i" pairs joined by ";"
 
 
 def parse_jet_name(name: str) -> tuple[int, Word] | None:

@@ -33,10 +33,26 @@ class NotUnit(ZeroDivisionError):
 _NO_ROW: dict = {}  # the row of a zero product; never written
 
 
+def accumulate(out: dict, c, terms) -> dict:
+    """out += c * terms, in place: `out` is a sparse vector {key: value} and
+    `terms` an iterable of (key, value) pairs. An entry that cancels is
+    dropped, so `out` holds only nonzero values. Returns `out`."""
+    if c:
+        for key, v in terms:
+            add = c * v
+            cur = out.get(key)
+            cur = add if cur is None else cur + add
+            if cur:
+                out[key] = cur
+            elif key in out:
+                del out[key]
+    return out
+
+
 class LocalAlgebra:
     """Validated local algebra; construct through `validate` or `from_table`."""
 
-    __slots__ = ("field", "m", "grades", "table", "d", "rows")
+    __slots__ = ("field", "m", "grades", "table", "d", "rows", "by_target")
 
     def __init__(self, field: FieldSpec, m: int, grades, table, d: int):
         self.field = field
@@ -50,6 +66,12 @@ class LocalAlgebra:
             row = self.rows.setdefault((p, q), {})
             row[i] = c
             self.rows[(q, p)] = row
+        # the same constants by target: {i: [(p, q, alpha_i^{pq}), ...]}, with
+        # (p, q) ascending over the keys of `rows`
+        self.by_target: dict[int, list] = {}
+        for (p, q), row in sorted(self.rows.items()):
+            for i, c in row.items():
+                self.by_target.setdefault(i, []).append((p, q, c))
 
     def __eq__(self, other):
         if not isinstance(other, LocalAlgebra):
@@ -111,29 +133,6 @@ def truncation_algebra(order: int, char: int = 0) -> LocalAlgebra:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def _row_reduce(rows):
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r] if any(row)]
-
 
 def validate(spec: dict) -> LocalAlgebra:
     """Check a raw algebra description and return a LocalAlgebra.
@@ -203,18 +202,24 @@ def from_table(fs: FieldSpec, dim: int, grades, table: dict) -> LocalAlgebra:
         if i == 0:
             raise AlgebraError("NOT_LOCAL", witness=(p, q), detail="product has a unit component")
 
-    # associativity over all basis triples: (e_p e_q) e_r == e_p (e_q e_r)
+    # associativity: (e_p e_q) e_r == e_p (e_q e_r), over the indices that
+    # have a nonzero product. At a triple holding any other index both sides
+    # are 0: e_p e_q = 0 when p or q has no product, e_q e_r = 0 when q or r
+    # has none, and a product is a sum of e_i with i >= 1 (checked above), so
+    # it times such an index is 0 too (`rows` is symmetric). So the first
+    # failing triple in (p, q, r) order is the first one visited here.
     rows = alg.rows
-    for p in range(1, m + 1):
-        for q in range(1, m + 1):
+    factors = sorted({p for p, _ in rows})
+    for p in factors:
+        for q in factors:
             pq = rows.get((p, q), _NO_ROW)
-            for r in range(1, m + 1):
+            for r in factors:
                 qr = rows.get((q, r), _NO_ROW)
                 if (pq or qr) and _times_basis(alg, pq, r) != _times_basis(alg, qr, p):
                     raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
 
     # nilpotency of the maximal-ideal span, computed from the table alone
-    filtration = _ideal_filtration(alg)
+    filtration = _ideal_filtration(alg, factors)
     if filtration[-1]:
         raise AlgebraError("NOT_LOCAL", detail=f"span of e_1..e_{m} is not nilpotent")
 
@@ -265,28 +270,33 @@ def _times_basis(alg: LocalAlgebra, vec: dict, r: int) -> dict:
     """(sum_i vec[i] e_i) * e_r for i, r >= 1, as sparse coordinates {j: c}."""
     out: dict = {}
     for i, c in vec.items():
-        for j, a in alg.rows.get((i, r), _NO_ROW).items():
-            out[j] = out.get(j, alg.field.zero) + c * a
-    return {j: c for j, c in out.items() if c}
+        accumulate(out, c, alg.rows.get((i, r), _NO_ROW).items())
+    return out
 
 
-def _ideal_filtration(alg: LocalAlgebra):
-    """Powers of span(e_1..e_m) as row-reduced coordinate lists (coords 1..m),
-    up to the first zero power or to the (m+1)-th."""
-    fs, m = alg.field, alg.m
-    current = [[fs.one if i == p else fs.zero for i in range(1, m + 1)] for p in range(1, m + 1)]
-    powers = [current]
-    for _ in range(m):
-        nxt = []
-        for vec in powers[-1]:
-            sparse = {p: c for p, c in enumerate(vec, start=1) if c}
-            for q in range(1, m + 1):
-                prod = _times_basis(alg, sparse, q)
-                if prod:
-                    nxt.append([prod.get(i, fs.zero) for i in range(1, m + 1)])
-        reduced = _row_reduce(nxt)
-        powers.append(reduced)
-        if not reduced:
+def _span(vectors) -> list:
+    """A basis of the span of sparse vectors {i: c}, in echelon form: each
+    member is 0 at the least index (pivot) of every member before it."""
+    basis: dict = {}  # pivot -> member
+    for vec in vectors:
+        vec = dict(vec)
+        for col in sorted(basis):
+            if col in vec:
+                accumulate(vec, -vec[col] / basis[col][col], basis[col].items())
+        if vec:
+            basis[min(vec)] = vec
+    return list(basis.values())
+
+
+def _ideal_filtration(alg: LocalAlgebra, factors) -> list:
+    """Powers of span(e_1..e_m), each as a basis of sparse vectors, up to the
+    first zero power or to the (m+1)-th. `factors` are the indices with a
+    nonzero product; a product by any other e_q is 0."""
+    powers = [[{p: alg.field.one} for p in range(1, alg.m + 1)]]
+    for _ in range(alg.m):
+        powers.append(_span(prod for vec in powers[-1] for q in factors
+                            if (prod := _times_basis(alg, vec, q))))
+        if not powers[-1]:
             break
     return powers
 
@@ -378,7 +388,7 @@ def support(alg: LocalAlgebra, i: int) -> set[int]:
         raise SpecError(f"index {i} out of range")
 
     def one_step(j):
-        return {q for (_, q), row in alg.rows.items() if j in row}
+        return {q for _, q, _ in alg.by_target.get(j, ())}
 
     level = one_step(i)
     out = set(level)

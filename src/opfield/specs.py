@@ -128,10 +128,13 @@ def _parse_field_parts(data, base_dir):
     ring = base_ring(spec)
 
     def coeffs(key):
-        return {
-            (i, j, l): parse_frac(ring, str(c))
-            for (i, j, l, c) in _coeff_entries(data, key)
-        }
+        table: dict = {}
+        for (i, j, l, c) in _coeff_entries(data, key):
+            value = parse_frac(ring, str(c))
+            if (i, j, l) in table and table[(i, j, l)] != value:
+                raise SpecFileError(f"conflicting {key} entries for ({i},{j},{l})")
+            table[(i, j, l)] = value
+        return table
 
     return spec, d1, d2, coeffs("lie"), coeffs("hs"), action
 
@@ -151,43 +154,12 @@ def load_dfield(source, base_dir: Path | None = None, overrides: dict | None = N
 def load_gamma(source, base_dir: Path | None = None) -> DField:
     """The operator field a gamma spec describes; its system is `.gamma`."""
     data, base_dir = _load_json(source, base_dir)
-    field_ref = data.get("field")
+    if data.get("field") is None:
+        # with no field of its own the spec is read as a dfield: that reads
+        # the same char, gens, action, d1, d2, lie and hs, with these defaults
+        return load_dfield(data, base_dir)
     overrides = {k: data[k] for k in ("d1", "d2", "lie", "hs") if k in data}
-    if field_ref is None:
-        field_ref = {
-            "char": data.get("char", 0),
-            "gens": data.get("gens", []),
-            "action": data.get("action", {}),
-        }
-    return load_dfield(field_ref, base_dir, overrides=overrides)
-
-
-def dump_dfield(field: DField) -> dict:
-    gamma = field.gamma
-    out = {
-        "char": field.spec.char,
-        "gens": list(field.spec.gens),
-        "d1": dump_algebra(gamma.d1),
-        "action": {},
-    }
-    if gamma.d2 is not None:
-        out["d2"] = dump_algebra(gamma.d2)
-    for g in field.spec.gens:
-        row = {}
-        for op in gamma.ops:
-            v = field.action[op][g]
-            if v:
-                row[f"{op[0]},{op[1]}"] = gamma.domain.text(v)
-        if row:
-            out["action"][g] = row
-    for key, table in (("lie", gamma.lie), ("hs", gamma.hs)):
-        entries = [
-            {"i": i, "j": j, "l": l, "c": gamma.domain.text(c)}
-            for (i, j, l), c in sorted(table.items())
-        ]
-        if entries:
-            out[key] = entries
-    return out
+    return load_dfield(data["field"], base_dir, overrides=overrides)
 
 
 def dump_gamma(gamma: GammaSystem, field: DField | None = None) -> dict:
@@ -205,8 +177,18 @@ def dump_gamma(gamma: GammaSystem, field: DField | None = None) -> dict:
             for (i, j, l), c in sorted(table.items())
         ]
     if field is not None:
-        out["action"] = dump_dfield(field)["action"]
+        out["action"] = {}
+        for g in field.spec.gens:
+            row = {f"{u},{i}": gamma.domain.text(v) for u, i in gamma.ops if (v := field.action[(u, i)][g])}
+            if row:
+                out["action"][g] = row
     return out
+
+
+def dump_dfield(field: DField) -> dict:
+    """The field's spec: its system's, without an empty `lie` or `hs`."""
+    out = dump_gamma(field.gamma, field)
+    return {key: v for key, v in out.items() if v or key not in ("lie", "hs")}
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,11 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
         (with_lie_index(True), ["gamma", "check"]),
         (with_lie_index("1"), ["gamma", "check"]),
         ({"n": 1, "r": 1, "relations": []}, ["kernel", "leaders"]),
+        (RICCATI_QT | {"relations": ["x1_[1] - 1"]}, ["kernel", "leaders"]),
+        (RICCATI_QT | {"relations": ["x1_[1,1,1] - 1"]}, ["kernel", "leaders"]),
+        (RICCATI_QT | {"relations": ["x1_[;] - 1"]}, ["kernel", "leaders"]),
+        (fixture("gamma_sl2.json") | {"lie": fixture("gamma_sl2.json")["lie"] + [{"i": 1, "j": 2, "l": 3, "c": "5"}]},
+         ["gamma", "check"]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -256,7 +261,8 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "gamma_lie_int", "gamma_hs_int", "dfield_lie_int", "prolong_steps_negative",
          "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
          "coeff_bool", "jet_beyond_length", "gamma_index_float", "gamma_index_bool",
-         "gamma_index_str", "kernel_no_gamma_no_dfield"],
+         "gamma_index_str", "kernel_no_gamma_no_dfield", "jet_word_one_number", "jet_word_three_numbers",
+         "jet_word_empty_pair", "gamma_lie_conflicting_repeat"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
@@ -553,6 +559,48 @@ def test_gamma_check_fuzzed_fixtures_exit_cleanly(fuzz_dir, case):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["gamma", "check", str(path), mode])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+@st.composite
+def mutated_dfield_specs(draw):
+    """A dfield fixture with one key dropped, one field of the wrong type or
+    one integer out of range, in the spec, its action, its D1 or one of D1's
+    products; or with D1 dropped, so that it is inferred from an action or
+    Lie index of a few hundred. Then `dfield validate` or `dfield apply`."""
+    spec = fixture(draw(st.sampled_from(("dfield_qt.json", "dfield_char2_pair.json"))))
+    how = draw(st.sampled_from(("drop", "wrong_type", "out_of_range", "inferred")))
+    if how == "inferred":
+        del spec["d1"]
+        n = draw(st.integers(100, 300))
+        if draw(st.booleans()):
+            spec["action"]["t"] = {f"1,{n}": value for value in spec["action"]["t"].values()}
+        else:
+            spec["lie"] = [{"i": n, "j": n, "l": 1, "c": draw(st.sampled_from(("0", "1", "t")))}]
+    else:
+        parts = [spec, spec["action"], spec["action"]["t"], spec["d1"]] + spec["d1"]["products"]
+        target = draw(st.sampled_from(parts))
+        key = draw(st.sampled_from(sorted(target)))
+        if how == "drop":
+            del target[key]
+        elif how == "wrong_type":
+            target[key] = draw(WRONG_TYPES)
+        else:
+            target[key] = draw(st.one_of(st.integers(-3, 0), st.integers(1, 9), st.just(10**6)))
+    command = draw(st.sampled_from((["validate"], ["apply", "--op", "1,1", "--expr", "t"],
+                                    ["apply", "--op", "1,2", "--expr", "t^2"])))
+    return spec, command
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mutated_dfield_specs())
+def test_dfield_fuzzed_fixtures_exit_cleanly(fuzz_dir, case):
+    spec, command = case
+    path = fuzz_dir / "dfield.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dfield", *command, str(path)])
     assert code in (0, 1, 2), err.getvalue()
 
 

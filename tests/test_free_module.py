@@ -3,9 +3,12 @@ import itertools
 import pytest
 from helpers import identity_breaking_perturbations, passing_fixtures, sl2_constants, trivial_derivation, two_derivations
 
-from opfield.commutation import iterative_hs_coeffs
+from opfield.commutation import GammaSystem, iterative_hs_coeffs
+from opfield.dfields import DField
 from opfield.free_module import FreeCalculus
 from opfield.indices import all_words_upto, chi, normal_words_upto, rho
+from opfield.local_algebra import from_table
+from opfield.scalars import FieldSpec
 
 
 def calc(gamma):
@@ -141,3 +144,27 @@ def test_memoization_consistency():
     assert v1 == v2
     fresh = calc(gamma)
     assert fresh.apply_word(((1, 1), (1, 2), (1, 1)), fresh.wvec(())) == v1
+
+
+def test_apply_twisted_rule_reads_the_structure_constants():
+    # D1 has e_1 e_1 = e_3, so d_3(c w) = d_3(c) w + c d_3(w) + d_1(c) d_1(w)
+    # over Q(t) with d_1 t = 1: the alpha term is what carries d_1(c)
+    spec = FieldSpec(char=0, gens=("t",))
+    d1 = from_table(FieldSpec(0), 4, [1, 1, 2], {(1, 1, 3): 1})
+    field = DField(spec, GammaSystem(d1, None, {}, {}, spec), {(1, 1): {"t": 1}})
+    fc = FreeCalculus(field.gamma, field)
+    t = field.gen("t")
+    assert fc.apply((1, 3), {(): t}) == {((1, 3),): t, ((1, 1),): 1}
+    assert fc.apply((1, 3), {((1, 2),): t**2}) == {
+        ((1, 2),): 1, ((1, 3), (1, 2)): t**2, ((1, 2), (1, 1)): 2 * t,
+    }
+
+
+def test_apply_twisted_rule_reads_both_orders_of_a_product():
+    # e_1 e_2 = e_2 e_1 = e_3: d_3(c w) carries d_1(c) d_2(w) and d_2(c) d_1(w)
+    spec = FieldSpec(char=0, gens=("s", "t"))
+    d1 = from_table(FieldSpec(0), 4, [1, 1, 2], {(1, 2, 3): 1})
+    field = DField(spec, GammaSystem(d1, None, {}, {}, spec), {(1, 1): {"s": 1}, (1, 2): {"t": 1}})
+    fc = FreeCalculus(field.gamma, field)
+    s, t = field.gen("s"), field.gen("t")
+    assert fc.apply((1, 3), {(): s * t}) == {(): 1, ((1, 3),): s * t, ((1, 2),): t, ((1, 1),): s}

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from opfield.local_algebra import (
     NotUnit,
     derivation_algebra,
     frobenius_assumption,
+    from_table,
     null_set,
     support,
     tensor,
@@ -51,6 +53,14 @@ def test_validate_misgraded_rank_fail():
         validate(spec)
     assert e.value.code == "RANK_FAIL"
     assert e.value.witness == (2, 1, 1)
+
+
+def test_assoc_fail_at_an_index_that_is_never_a_left_factor():
+    # e_1 e_2 = e_3 and e_1 e_3 = e_4: (e_1 e_1) e_2 = 0 but e_1 (e_1 e_2) = e_4.
+    # e_2 only ever stands second in the table, and every other check passes
+    with pytest.raises(AlgebraError) as e:
+        from_table(FieldSpec(0), 5, [1, 1, 2, 3], {(1, 2, 3): 1, (1, 3, 4): 1})
+    assert (e.value.code, e.value.witness) == ("ASSOC_FAIL", (1, 1, 2))
 
 
 def test_validate_unit_component_not_local():
@@ -202,6 +212,15 @@ def test_builders_equal_their_validated_dumps(char):
     for alg in built:
         again = validate(dump_algebra(alg))
         assert (again, again.d, again.rows) == (alg, alg.d, alg.rows)
+
+
+def test_derivation_algebra_is_not_cubic_in_m():
+    # no nonzero product, so validation visits no basis triple; the dense
+    # m^3 scan took about 6 s at m = 400
+    start = time.perf_counter()
+    alg = derivation_algebra(400)
+    assert time.perf_counter() - start < 0.25
+    assert alg.m == 400 and not alg.rows
 
 
 def test_builders_reject_bad_sizes():

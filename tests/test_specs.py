@@ -84,6 +84,19 @@ def test_gamma_file_with_field_reference(tmp_path):
     assert field.spec.gens == ("t",)
 
 
+@pytest.mark.parametrize("name, key", [("gamma_sl2.json", "lie"), ("gamma_iterative_2_2.json", "hs")])
+def test_repeated_coefficient_entries(name, key):
+    spec = json.loads((FIXTURES / name).read_text())
+    first = spec[key][0]
+    # a repeat of an equal value is the same table
+    same = spec | {key: spec[key] + [first | {"c": f"({first['c']}) + 0"}]}
+    assert canonicalize(same, "gamma") == canonicalize(spec, "gamma")
+    # a different value for the same (i, j, l) is refused, not dropped
+    conflict = spec | {key: spec[key] + [first | {"c": f"({first['c']}) + 1"}]}
+    with pytest.raises(SpecFileError, match="conflicting"):
+        canonicalize(conflict, "gamma")
+
+
 def test_kernel_with_separate_refs(tmp_path):
     df = tmp_path / "field.json"
     df.write_text(json.dumps({"char": 0, "gens": [], "action": {}}))
