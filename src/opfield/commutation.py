@@ -116,11 +116,18 @@ class GammaSystem:
         return table.get((i[1], j[1], l[1]), self.zero())
 
     def check_hom(self, which: int) -> Verdict:
-        if which == 1:
-            return hom_verdict(self.d1, self.lie, "lie")
-        if self.d2 is None:
-            return PASS
-        return hom_verdict(self.d2, self.hs, "hs")
+        """Is r multiplicative on D_which? On the Lie side r(e_l) = 1 (x) e_l
+        + sum c_l^{ij} e_j (x) e_i with i, j in the null of D1, so a product
+        holding a c-term is 0 and r(e_p) r(e_q) = r(e_p e_q) reads sum_l
+        alpha_l^{pq} c_l^{ij} = 0 at each (i, j), trivial where e_p e_q = 0.
+        Ascending (p, q), p <= q, give the witness of the loop over all pairs."""
+        if which == 2:
+            return PASS if self.d2 is None else hom_verdict(self.d2, self.hs)
+        lie_terms = [terms for (i, _), terms in self.pair_terms.items() if i[0] == 1]
+        for (p, q), row in sorted(kv for kv in self.d1.rows.items() if kv[0][0] <= kv[0][1]):
+            if any(sum((row[l] * c for (_, l), c in t if l in row), self.zero()) for t in lie_terms):
+                return Verdict(False, "HOM_FAIL", (p, q))
+        return PASS
 
     def __repr__(self):
         return (
@@ -144,26 +151,24 @@ def _tensor_mul(alg: LocalAlgebra, A: dict, B: dict) -> dict:
     return out
 
 
-def _coproduct(alg: LocalAlgebra, coeffs: dict, kind: str) -> dict:
-    """r(e_l) for every l = 0..m, built in one pass over the coefficient
-    table, as {l: {(i, j): coefficient in the base field}}: 1 (x) 1 for l = 0;
-    otherwise 1 (x) e_l, plus e_l (x) 1 on the HS side, plus each nonzero
-    c_l^{ij}, in the (j, i) tensor slot on the Lie side and in (i, j) on the
-    HS side. An entry with an index 0 is skipped, as those slots hold the unit
-    terms already written, and so is one whose l is no basis index."""
+def _coproduct(alg: LocalAlgebra, coeffs: dict) -> dict:
+    """r(e_l) for l = 0..m as {l: {(i, j): coefficient in the base field}},
+    in one pass over the HS table: 1 (x) 1 for l = 0, else e_l (x) 1 + 1 (x)
+    e_l plus each nonzero c_l^{ij} in slot (i, j). An entry with an index 0 (a
+    unit slot, already written) or whose l is no basis index is skipped."""
     one = alg.field.one
     images: dict = {0: {(0, 0): one}}
     for l in range(1, alg.m + 1):
-        images[l] = {(0, l): one} if kind == "lie" else {(l, 0): one, (0, l): one}
+        images[l] = {(l, 0): one, (0, l): one}
     for (i, j, l), c in coeffs.items():
         if i and j and c and 0 < l <= alg.m:
-            images[l][(j, i) if kind == "lie" else (i, j)] = c
+            images[l][(i, j)] = c
     return images
 
 
-def hom_verdict(alg: LocalAlgebra, coeffs: dict, kind: str) -> Verdict:
-    """Does the coefficient table define a multiplicative map on the algebra?"""
-    images = _coproduct(alg, coeffs, kind)
+def hom_verdict(alg: LocalAlgebra, coeffs: dict) -> Verdict:
+    """Does the HS coefficient table define a multiplicative map on the algebra?"""
+    images = _coproduct(alg, coeffs)
     for p in range(1, alg.m + 1):
         for q in range(p, alg.m + 1):
             lhs = _tensor_mul(alg, images[p], images[q])
@@ -360,7 +365,7 @@ def _reduce_pair(a: LocalAlgebra, ca: dict, b: LocalAlgebra, cb: dict):
     # c_{(l1,l2)}^{(i1,i2),(j1,j2)} = c_{l1}^{i1 j1} c_{l2}^{i2 j2}, over the
     # coproduct tables with their unit terms
     ext_a, ext_b = (
-        [(i, j, l, c) for l, img in _coproduct(alg, cs, "hs").items()
+        [(i, j, l, c) for l, img in _coproduct(alg, cs).items()
          for (i, j), c in img.items()]
         for alg, cs in ((a, ca), (b, cb))
     )

@@ -10,6 +10,7 @@ from collections.abc import Mapping
 from .commutation import GammaSystem
 from .free_module import FreeCalculus
 from .groebner import Ideal
+from .indices import op_key
 from .local_algebra import DVector
 from .polynomials import Frac, FracDomain, Poly, PolyRing
 from .scalars import FieldSpec, SpecError
@@ -150,20 +151,24 @@ class DField:
         """Commutation identities on every generator; sufficient for the field.
 
         d_j g is the declared action[j][g], and d_i d_j g is coordinate i of
-        e_u(d_j g) for i's family u: one e_u per (g, j, u) serves (i, j) and (j, i)."""
-        families = self.gamma.families
+        e_u(d_j g) for i's family u: one e_u per (g, j, u) serves (i, j) and (j, i).
+        Both sides are 0 at a pair with no c^{ij} and no live operator, one whose
+        d_j g is no prime-field constant; the rest go in `ops` order, so the
+        first failing pair is that of the loop over all pairs."""
+        families, terms, zero = self.gamma.families, self.gamma.pair_terms, self.scalar(0)
         for g in self.spec.gens:
             firsts = {op: self.action[op][g] for op in self.ops}
-            seconds = {(u, j): self.e(u, firsts[j]).coords for j in self.ops for u in families}
-            for i in self.ops:
-                for j in self.ops:
-                    lhs = seconds[(i[0], j)][i[1]]
-                    # chi = 0 between two HS operators: no d_j d_i g term
-                    rhs = self.scalar(0) if i[0] == j[0] == 2 else seconds[(j[0], i)][j[1]]
-                    for l, c in self.gamma.pair_terms.get((i, j), ()):
-                        rhs = rhs + c * firsts[l]
-                    if lhs != rhs:
-                        raise GammaFail((i, j, g))
+            live = dict.fromkeys(j for j in self.ops if not FracDomain.is_const(firsts[j]))
+            seconds = {(u, j): self.e(u, firsts[j]).coords for j in live for u in families}
+            pairs = {ij for i in live for j in self.ops for ij in ((i, j), (j, i))}
+            for i, j in sorted(pairs | terms.keys(), key=lambda ij: (op_key(ij[0]), op_key(ij[1]))):
+                lhs = seconds[(i[0], j)][i[1]] if j in live else zero
+                # chi = 0 between two HS operators: no d_j d_i g term
+                rhs = seconds[(j[0], i)][j[1]] if i in live and not i[0] == j[0] == 2 else zero
+                for l, c in terms.get((i, j), ()):
+                    rhs = rhs + c * firsts[l]
+                if lhs != rhs:
+                    raise GammaFail((i, j, g))
 
     def extend_transcendental(self, name: str, values: dict) -> "DField":
         """Adjoin a fresh generator with the declared operator values."""

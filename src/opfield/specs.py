@@ -141,6 +141,8 @@ def _parse_field_parts(data, base_dir):
 
 def load_dfield(source, base_dir: Path | None = None, overrides: dict | None = None) -> DField:
     data, base_dir = _load_json(source, base_dir)
+    if "dim" in data or ("n" in data and "r" in data):
+        raise SpecFileError(f"{guess_kind(data)} spec where an operator field spec is expected")
     if overrides:
         data = {**data, **overrides}
     spec, d1, d2, lie, hs, action = _parse_field_parts(data, base_dir)

@@ -252,6 +252,10 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
         (RICCATI_QT | {"relations": ["x1_[;] - 1"]}, ["kernel", "leaders"]),
         (fixture("gamma_sl2.json") | {"lie": fixture("gamma_sl2.json")["lie"] + [{"i": 1, "j": 2, "l": 3, "c": "5"}]},
          ["gamma", "check"]),
+        (None, ["gamma", "check", str(FIXTURES / "kernel_riccati.json")]),
+        (None, ["gamma", "check", str(FIXTURES / "algebra_truncation3.json")]),
+        (None, ["dfield", "validate", str(FIXTURES / "kernel_riccati.json")]),
+        (None, ["dfield", "validate", str(FIXTURES / "algebra_truncation3.json")]),
     ],
     ids=["dim_not_int", "product_without_p", "op_key_11", "apply_op_1", "apply_op_not_in_field",
          "coeff_key_not_int", "char_not_int", "kernel_n_not_int", "kernel_r_list",
@@ -262,7 +266,8 @@ def test_degree_cap_exceeded_is_fail(tmp_path, monkeypatch, capsys):
          "free_order_negative", "kernel_gamma_int", "kernel_gamma_list", "kernel_gamma_bool",
          "coeff_bool", "jet_beyond_length", "gamma_index_float", "gamma_index_bool",
          "gamma_index_str", "kernel_no_gamma_no_dfield", "jet_word_one_number", "jet_word_three_numbers",
-         "jet_word_empty_pair", "gamma_lie_conflicting_repeat"],
+         "jet_word_empty_pair", "gamma_lie_conflicting_repeat", "gamma_check_kernel", "gamma_check_algebra",
+         "dfield_validate_kernel", "dfield_validate_algebra"],
 )
 def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     if spec is not None:
@@ -612,4 +617,31 @@ def test_gamma_check_jacobi_on_an_empty_table_is_fast(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["gamma", "check", str(spec), "--jacobi"]) == 0
     assert time.perf_counter() - start < 1.0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_gamma_check_all_on_an_empty_table_is_fast(tmp_path, capsys):
+    # D1 is inferred with 1000 derivations and no product, so the Lie side
+    # of the homomorphism check reaches no pair; multiplying all m^2/2 pairs
+    # of images took about 2.6 s here
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"char": 0, "gens": [], "action": {}, "lie": [{"i": 1000, "j": 1000, "l": 1, "c": "0"}]}))
+    start = time.perf_counter()
+    assert main(["gamma", "check", str(spec), "--all"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_dfield_validate_with_one_live_operator_is_fast(tmp_path, capsys):
+    # the action of dfield_char2_pair moved to operator 1,1000 of an inferred
+    # D1: only pairs with that operator can fail; comparing all ops^2 pairs
+    # on each generator took about 6.7 s here
+    spec = fixture("dfield_char2_pair.json")
+    del spec["d1"]
+    spec["action"] = {"t": {"1,1000": "s"}}
+    path = tmp_path / "one_live.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    assert main(["dfield", "validate", str(path)]) == 0
+    assert time.perf_counter() - start < 0.5
     assert "PASS" in capsys.readouterr().out

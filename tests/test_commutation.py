@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import time
 from fractions import Fraction
 from importlib.resources import files
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from opfield.commutation import (
     GammaSystem,
     Verdict,
+    _tensor_mul,
     base_ring,
     check_all,
     check_associative,
@@ -24,7 +26,11 @@ from opfield.commutation import (
 )
 from opfield.dfields import DField
 from opfield.local_algebra import (
+    AlgebraError,
+    accumulate,
     derivation_algebra,
+    ext_row,
+    null_set,
     tensor,
     tensor_basis_pairs,
     trivial_algebra,
@@ -70,7 +76,7 @@ def test_check_hom_iterative_passes():
 def test_check_hom_char0_additive_fails():
     # r(e) = e(x)1 + 1(x)e with zero c's on Q[e]/(e^2): r(e)^2 = 2 e(x)e != 0
     alg = derivation_algebra(1)
-    v = hom_verdict(alg, {}, "hs")
+    v = hom_verdict(alg, {})
     assert not v and v.witness == (1, 1)
 
 
@@ -88,9 +94,9 @@ def test_check_hom_lie_with_nonzero_products():
         "products": [{"p": 1, "q": 1, "coeffs": {"3": 1}}],
     })
     assert null_set(alg) == {2, 3}
-    bad = hom_verdict(alg, {(2, 3, 3): 1, (3, 2, 3): -1}, "lie")
+    bad = GammaSystem(alg, None, {(2, 3, 3): 1, (3, 2, 3): -1}, {}).check_hom(1)
     assert not bad and bad.witness == (1, 1)
-    good = hom_verdict(alg, {(2, 3, 1): 1, (3, 2, 1): -1}, "lie")
+    good = GammaSystem(alg, None, {(2, 3, 1): 1, (3, 2, 1): -1}, {}).check_hom(1)
     assert good
 
 
@@ -503,6 +509,22 @@ def test_jacobi_skew_witness_is_the_mirror_of_a_one_sided_entry():
     assert check_jacobi(gamma) == dense_jacobi(gamma) == Verdict(False, "JACOBI_SKEW", (1, 2, 1))
 
 
+def test_associative_identity_reads_both_orders_of_a_product():
+    # D = F_2[x, y]/(x^2, y^2) with e_1 = x, e_2 = y, e_3 = xy, on F_2(t):
+    # the truncated HS pair D_1 = 0, D_2 = d/dt through the automorphism
+    # y -> y + t xy, so D'_3 = D_3 + t D_2 and D'_i D'_j = sum c_l^{ij} D'_l
+    # has non-constant coefficients. Every tuple with i < 3 passes, and at
+    # (3, 1, 2, 2) only the alpha_3^{21} term d_2 c_2^{12} c_2^{12} is nonzero
+    d2 = validate({"char": 2, "dim": 4, "grades": [1, 1, 2], "products": [{"p": 1, "q": 2, "coeffs": {"3": "1"}}]})
+    spec = FieldSpec(char=2, gens=("t",))
+    hs = {(1, 2, 3): "1", (1, 2, 2): "t", (2, 1, 3): "1", (2, 1, 2): "t", (1, 3, 3): "t", (1, 3, 2): "t^2",
+          (2, 3, 2): "1", (3, 1, 3): "t", (3, 1, 2): "t^2", (3, 3, 3): "1"}
+    gamma = GammaSystem(trivial_algebra(2), d2, {}, hs, spec)
+    field = DField(spec, gamma, {(2, 2): {"t": "1"}, (2, 3): {"t": "t"}})
+    assert check_associative(gamma, field) == dense_associative(gamma, field) == Verdict(True)
+    assert check_all(gamma, field)
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=hs_systems())
 def test_check_associative_matches_dense_reference(system):
@@ -512,6 +534,61 @@ def test_check_associative_matches_dense_reference(system):
             == _verdict_or_error(dense_associative, gamma, field))
     assert (_verdict_or_error(check_associative, gamma, None)
             == _verdict_or_error(dense_associative, gamma, None))
+
+
+def dense_lie_hom(gamma):
+    """The Lie side of `check_hom` in the tensor square: r(e_l) = 1 (x) e_l +
+    sum c_l^{ij} e_j (x) e_i, and r(e_p) r(e_q) against r(e_p e_q) at every
+    p <= q."""
+    alg = gamma.d1
+    images = {0: {(0, 0): alg.field.one}} | {l: {(0, l): alg.field.one} for l in range(1, alg.m + 1)}
+    for (i, j, l), c in gamma.lie.items():
+        images[l][(j, i)] = c
+    for p in range(1, alg.m + 1):
+        for q in range(p, alg.m + 1):
+            rhs: dict = {}
+            for i, a in ext_row(alg, p, q).items():
+                accumulate(rhs, a, images[i].items())
+            if _tensor_mul(alg, images[p], images[q]) != rhs:
+                return Verdict(False, "HOM_FAIL", (p, q))
+    return Verdict(True)
+
+
+def random_graded_d1(rng, char):
+    """A local algebra with `a` indices of grade 1 and `b` of grade 2, the
+    products of grade-1 pairs drawn into grade 2 (so every triple product is
+    0); None when the draw does not span grade 2."""
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    products = []
+    for p in range(1, a + 1):
+        for q in range(p, a + 1):
+            if rng.random() < 0.6:
+                coeffs = {str(k): str(rng.randint(1, 3)) for k in range(a + 1, a + b + 1) if rng.random() < 0.5}
+                products.append({"p": p, "q": q, "coeffs": coeffs})
+    try:
+        return validate({"char": char, "dim": a + b + 1, "grades": [1] * a + [2] * b, "products": products})
+    except AlgebraError:
+        return None
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_lie_check_hom_matches_the_tensor_square(char):
+    # Lie tables in the null of a random graded D1 over F_char(t): c_l^{ij} is
+    # drawn with l of either grade, and the values may cancel in a sum
+    rng = random.Random(2100 + char)
+    spec = FieldSpec(char=char, gens=("t",))
+    verdicts = []
+    while len(verdicts) < 150:
+        d1 = random_graded_d1(rng, char)
+        null = sorted(null_set(d1)) if d1 else []
+        if not null:
+            continue
+        lie = {(rng.choice(null), rng.choice(null), rng.randint(1, d1.m)): rng.choice(("1", "-1", "2", "t", "-t", "t + 1"))
+               for _ in range(rng.randint(0, 4))}
+        gamma = GammaSystem(d1, None, lie, {}, spec)
+        verdicts.append(gamma.check_hom(1))
+        assert verdicts[-1] == dense_lie_hom(gamma), (d1.table, lie)
+    assert 20 < sum(not v for v in verdicts) < 130
 
 
 def test_hs_tensor_reduce_three_iterative_2_2():

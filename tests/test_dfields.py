@@ -133,8 +133,9 @@ def test_gamma_validation_rejects_noncommuting():
         DField(spec, gamma, {(1, 1): {"x": 1}, (1, 2): {"x": "x"}})
 
 
-def test_validate_gamma_makes_one_e_per_generator_operator_and_family(monkeypatch):
-    # Q(s, t) under two commuting derivations: t' = (1, 0), s' = (0, s/2 + 1)
+def test_validate_gamma_makes_one_e_per_non_constant_first_derivative_and_family(monkeypatch):
+    # Q(s, t) under two commuting derivations: t' = (1, 0), s' = (0, s/2 + 1);
+    # only d_{1,2} s is not a prime-field constant
     spec = FieldSpec(char=0, gens=("s", "t"))
     K = DField(spec, GammaSystem(derivation_algebra(2), None, {}, {}, spec),
                {(1, 1): {"t": 1}, (1, 2): {"s": "s/2 + 1"}}, check=False)
@@ -142,7 +143,52 @@ def test_validate_gamma_makes_one_e_per_generator_operator_and_family(monkeypatc
     e = DField.e
     monkeypatch.setattr(DField, "e", lambda self, u, x: calls.append(u) or e(self, u, x))
     K.validate_gamma()
-    assert len(calls) == 4
+    assert len(calls) == 1
+
+
+def dense_validate_gamma(K):
+    """`DField.validate_gamma` over every operator pair; the GammaFail witness,
+    or None."""
+    families = K.gamma.families
+    for g in K.spec.gens:
+        firsts = {op: K.action[op][g] for op in K.ops}
+        seconds = {(u, j): K.e(u, firsts[j]).coords for j in K.ops for u in families}
+        for i in K.ops:
+            for j in K.ops:
+                lhs = seconds[(i[0], j)][i[1]]
+                rhs = K.scalar(0) if i[0] == j[0] == 2 else seconds[(j[0], i)][j[1]]
+                for l, c in K.gamma.pair_terms.get((i, j), ()):
+                    rhs = rhs + c * firsts[l]
+                if lhs != rhs:
+                    return (i, j, g)
+    return None
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_validate_gamma_matches_the_loop_over_all_pairs(char):
+    # actions over F_char(s, t), mostly constant, with Lie coefficients and,
+    # in positive characteristic, HS coefficients on F_p[e]/(e^3)
+    rng = random.Random(2200 + char)
+    spec = FieldSpec(char=char, gens=("s", "t"))
+    values = ("0", "0", "0", "1", "2", "s", "t", "s*t", "t + 1", "1/s")
+    witnesses = []
+    for _ in range(150):
+        m1 = rng.randint(1, 4)
+        d2 = truncation_algebra(3, char=char) if char and rng.random() < 0.6 else None
+        lie = {(rng.randint(1, m1), rng.randint(1, m1), rng.randint(1, m1)): rng.choice(values[3:])
+               for _ in range(rng.randint(0, 2))}
+        hs = {(rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)): rng.choice(values[3:])
+              for _ in range(rng.randint(0, 2))} if d2 else {}
+        gamma = GammaSystem(derivation_algebra(m1, char=char), d2, lie, hs, spec)
+        action = {op: {g: rng.choice(values) for g in spec.gens if rng.random() < 0.5} for op in gamma.ops}
+        K = DField(spec, gamma, action, check=False)
+        try:
+            K.validate_gamma()
+            witnesses.append(None)
+        except GammaFail as e:
+            witnesses.append(e.witness)
+        assert witnesses[-1] == dense_validate_gamma(K), (lie, hs, action)
+    assert 20 < sum(w is not None for w in witnesses) < 130
 
 
 @pytest.mark.parametrize("row", ["t", {"s": 1}])

@@ -77,6 +77,10 @@ def _fail_specs():
     }
     hom = _fixture("gamma_iterative_2_2.json")
     hom["hs"] = hom["hs"][:1]
+    # the same D1 with c_3^{23} = 1: r(e_1) r(e_1) = 1 (x) e_3 misses the
+    # c-terms of r(e_3), so the Lie side fails at (1, 1)
+    hom_lie = {"char": 0, "gens": [], "action": {}, "d1": d_term["d1"],
+               "lie": [{"i": 2, "j": 3, "l": 3, "c": "1"}, {"i": 3, "j": 2, "l": 3, "c": "-1"}]}
     assoc = _fixture("gamma_iterative_2_2.json")
     assoc["hs"].append({"i": 2, "j": 3, "l": 1, "c": "1"})
     grade = {"char": 0, "dim": 3, "grades": [1, 2], "products": []}
@@ -112,6 +116,7 @@ def _fail_specs():
         ("jacobi_skew.json", sl2, ["gamma", "check"]),
         ("jacobi_identity_d_term.json", d_term, ["gamma", "check", "--jacobi"]),
         ("hom_fail.json", hom, ["gamma", "check"]),
+        ("hom_fail_lie.json", hom_lie, ["gamma", "check"]),
         ("assoc_identity.json", assoc, ["gamma", "check", "--assoc"]),
         ("grade_filtration.json", grade, ["algebra", "validate"]),
         ("new_minimal_leader.json", new_leader, ["kernel", "realize", "--r", "1", "--order", "2"]),
