@@ -23,6 +23,7 @@ class FreeCalculus:
         self.gamma = gamma
         self.field = field
         self._memo: dict = {}
+        self._ell: dict = {}
 
     # -- vector helpers ------------------------------------------------------
     def zero(self) -> FreeVector:
@@ -104,11 +105,15 @@ class FreeCalculus:
         return vec
 
     def ell(self, word: Word) -> FreeVector:
-        """Lower-order correction: the operator word minus its normal symbol."""
-        full = self.apply_word(word, self.wvec(()))
-        if chi(word):
-            full = self.sub(full, self.wvec(rho(word)))
-        return full
+        """Lower-order correction: the operator word minus its normal symbol.
+        Memoized per word like `d_word`, so callers must only read it."""
+        out = self._ell.get(word)
+        if out is None:
+            out = self.apply_word(word, self.wvec(()))
+            if chi(word):
+                out = self.sub(out, self.wvec(rho(word)))
+            self._ell[word] = out
+        return out
 
     def commutator_defect(self, i: Op, j: Op, word: Word) -> FreeVector:
         """d_i d_j w - chi_ij d_j d_i w - sum_l c_l^{ij} d_l w; zero when the

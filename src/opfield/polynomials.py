@@ -204,7 +204,7 @@ class Poly:
         return hash((self.ring.names, frozenset(self.terms.items())))
 
     def is_const(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(map(any, self.terms))
 
     def const_value(self):
         zero_exp = (0,) * self.ring.nvars
@@ -404,6 +404,12 @@ class Frac:
     So every `Frac` over `ring.one` must be normalized: each `normalize=False`
     site passing `ring.one` builds a variable, a constant over a `FracDomain`,
     or the negation or power of a normalized fraction. Keep it that way.
+
+    In a one-variable ring every normalized fraction is in lowest terms, so
+    `+ - * /` there follow Henrici's rule (Knuth, TAOCP Vol. 2, §4.5.1): in
+    a/b + c/d only gcd(t, g) can cancel, for g = gcd(b, d) and t = a(d/g) +
+    c(b/g); in (a/b)(c/d) only gcd(a, d) and gcd(c, b). No gcd of the
+    products is taken, and only the result's scale is fixed (`_rescale`).
     """
 
     __slots__ = ("num", "den")
@@ -447,10 +453,17 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
         one = self.ring.one
-        if self.den == one and other.den == one:
-            return Frac(self.num + other.num, one, normalize=False)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        if b == one and d == one:
+            return Frac(a + c, one, normalize=False)
+        if self.ring.nvars != 1:
+            return Frac(a * d + c * b, b * d)
+        b1, d1, g = _cancel_univariate(b, d, 0)
+        if g is None:
+            return _lowest(a * d + c * b, b * d)
+        t, g1, g2 = _cancel_univariate(a * d1 + c * b1, g, 0)
+        return _lowest(t, b1 * (d if g2 is None else d1 * g1))
 
     __radd__ = __add__
 
@@ -473,7 +486,7 @@ class Frac:
         one = self.ring.one
         if self.den == one and other.den == one:
             return Frac(self.num * other.num, one, normalize=False)
-        return Frac(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -483,13 +496,23 @@ class Frac:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero fraction")
-        return Frac(self.num * other.den, self.den * other.num)
+        return self._times(other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other / self
+
+    def _times(self, c: Poly, d: Poly) -> "Frac":
+        """self * (c/d), d != 0; in a one-variable ring the cross gcds cancel
+        before the parts are multiplied."""
+        a, b = self.num, self.den
+        if self.ring.nvars != 1:
+            return Frac(a * c, b * d)
+        a, d, _ = _cancel_univariate(a, d, 0)
+        c, b, _ = _cancel_univariate(c, b, 0)
+        return _lowest(a * c, b * d)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -523,17 +546,24 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return ring.zero, ring.one
     dom = ring.domain
     zero = (0,) * ring.nvars
-    if isinstance(dom, FieldSpec) and num.terms.keys() == den.terms.keys() == {zero}:
+    if num.terms.keys() == den.terms.keys() == {zero}:
         # constant over constant: the pair _normalize_general returns, without
         # its quotient Poly and content gcds
         c = num.terms[zero] / den.terms[zero]
-        if dom.char == 0:
+        if isinstance(dom, FieldSpec) and dom.char == 0:
             return (
                 Poly(ring, {zero: Fraction(c.numerator)}),
                 Poly(ring, {zero: Fraction(c.denominator)}),
             )
         return Poly(ring, {zero: c}), ring.one
     return _normalize_general(num, den)
+
+
+def _lowest(num: Poly, den: Poly) -> Frac:
+    """num/den, in lowest terms in a one-variable ring, with its scale fixed."""
+    if not num or num.is_const() and den.is_const():  # `_normalize`'s fast paths
+        return Frac(num, den)
+    return Frac(*_rescale(num, den), normalize=False)
 
 
 def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -546,25 +576,32 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     - with two or more variables, den cancels only when it divides num. A
       multivariate gcd is not computed, so this case stays partial, and
       cancelling more would change the text of the fractions reports print.
-    A univariate fraction in lowest terms is unique up to a scalar, and the
-    scaling below sends every scalar multiple to the same pair.
+    So in a one-variable ring every normalized `Frac` is in lowest terms, and
+    its `+ - * /` keep it so without calling this (Henrici's rule, see `Frac`).
     """
-    ring = num.ring
-    dom = ring.domain
-    zero = (0,) * ring.nvars
-    if len(den.terms) == 1 and zero in den.terms:
-        if den != ring.one:  # dividing by one would rebuild every term unchanged
-            c = den.terms[zero]
-            num = Poly(ring, {e: v / c for e, v in num.terms.items()})
-        den = ring.one
-    else:
+    if not den.is_const():
         nvars = num.variables() | den.variables()
         if len(nvars) == 1:
-            num, den = _cancel_univariate(num, den, nvars.pop())
+            num, den, _ = _cancel_univariate(num, den, nvars.pop())
         else:
             q = exact_div(num, den)
             if q is not None:
-                num, den = q, ring.one
+                num, den = q, num.ring.one
+    return _rescale(num, den)
+
+
+def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The scalar multiple of num/den that normalization keeps, num != 0: a
+    constant den becomes one, then over Q den's sign and the contents' gcd
+    are fixed, elsewhere den is made monic. Every scalar multiple of a pair
+    goes to the same pair, so a univariate fraction in lowest terms is unique."""
+    ring = num.ring
+    dom = ring.domain
+    if den.is_const():
+        if den != ring.one:  # dividing by one would rebuild every term unchanged
+            c = den.const_value()
+            num = Poly(ring, {e: v / c for e, v in num.terms.items()})
+        den = ring.one
     if isinstance(dom, FieldSpec) and dom.char == 0:
         cn, cd = _rat_content(num), _rat_content(den)
         g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
@@ -580,15 +617,18 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.scale(one / lc), den.scale(one / lc)
 
 
-def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly]:
-    """num and den divided by their monic gcd; neither involves a variable
-    but x_i, and den is not constant.
+def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly, Poly | None]:
+    """(num/g, den/g, g) for the monic gcd g of num and den, or (num, den,
+    None) when they are coprime; neither involves a variable but x_i, and
+    den != 0. A constant num or den, 0 included, counts as coprime.
 
     Euclid runs on dense coefficient lists in x_i (entry k is the coefficient
     of x_i^k) with each divisor made monic first, so the remainders need one
     division per divisor coefficient and the exact quotients by the gcd none.
     """
-    dom = num.ring.domain
+    if den.is_const() or num.is_const():
+        return num, den, None
+    ring, dom = num.ring, num.ring.domain
     zero, one = dom.coerce(0), dom.one
     a, b = _dense(num, i, zero), _dense(den, i, zero)
     g, r = a, b
@@ -597,8 +637,8 @@ def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly]:
         r = [c / lc for c in r[:-1]] + [one]
         g, r = r, _dense_divmod(g, r)[1]
     if r:  # a nonzero constant remainder: num and den are coprime
-        return num, den
-    return _sparse(num.ring, i, _dense_divmod(a, g)[0]), _sparse(num.ring, i, _dense_divmod(b, g)[0])
+        return num, den, None
+    return _sparse(ring, i, _dense_divmod(a, g)[0]), _sparse(ring, i, _dense_divmod(b, g)[0]), _sparse(ring, i, g)
 
 
 def _dense(p: Poly, i: int, zero) -> list:

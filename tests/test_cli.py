@@ -609,6 +609,51 @@ def test_dfield_fuzzed_fixtures_exit_cleanly(fuzz_dir, case):
     assert code in (0, 1, 2), err.getvalue()
 
 
+GARBLED_RELATIONS = st.sampled_from(("x1_[", "x9_[]", "x1_[1,9]", "x1_[3,1]", "x1_[]^", "1/0", "t", "x1_[] +", ""))
+
+
+@st.composite
+def mutated_kernel_specs(draw):
+    """A kernel fixture with one key dropped, one field of the wrong type or
+    one integer out of range, in the spec, its dfield, its action or its D1,
+    or with one relation garbled; then `kernel leaders`, `prolong --steps 1`
+    or `check-point`. An integer out of range stays at 9 or below: no cap
+    bounds the jet count, so an r or n of a few thousand would not finish."""
+    name = draw(st.sampled_from(sorted(p.name for p in FIXTURES.glob("kernel_*.json"))))
+    spec = fixture(name)
+    how = draw(st.sampled_from(("drop", "wrong_type", "out_of_range", "relation")))
+    if how == "relation" and spec["relations"]:
+        spec["relations"][draw(st.integers(0, len(spec["relations"]) - 1))] = draw(
+            st.one_of(GARBLED_RELATIONS, WRONG_TYPES))
+    else:
+        dfield = spec["dfield"]
+        parts = [spec, dfield, dfield["d1"], dfield["action"], *dfield["action"].values()]
+        target = draw(st.sampled_from([part for part in parts if part]))
+        key = draw(st.sampled_from(sorted(target)))
+        if how == "drop":
+            del target[key]
+        elif how == "wrong_type":
+            target[key] = draw(WRONG_TYPES)
+        else:
+            target[key] = draw(st.integers(-3, 9))
+    values = "-1/t" if name == "kernel_riccati_qt.json" else "0"
+    command = draw(st.sampled_from((["leaders"], ["prolong", "--steps", "1"], ["check-point", f"--values={values}"])))
+    return spec, command
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_kernel_specs())
+def test_kernel_fuzzed_fixtures_exit_cleanly(fuzz_dir, case):
+    spec, command = case
+    path = fuzz_dir / "kernel.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kernel", command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_gamma_check_jacobi_on_an_empty_table_is_fast(tmp_path, capsys):
     # D1 is inferred with 30 derivations and the one entry is zero, so no
     # index triple is reached; visiting all m^4 tuples took about 5 s here

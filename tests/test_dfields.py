@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from opfield import polynomials
 from opfield.commutation import GammaSystem, base_ring, check_jacobi
 from opfield.dfields import (
     DField,
@@ -261,6 +262,59 @@ def test_extend_separable_deterministic():
     v1 = extend_separable(K, "a", f)
     v2 = extend_separable(K, "a", f)
     assert v1 == v2
+
+
+def _minimal_poly(K, text):
+    """text, in a and t, as a polynomial of K.adjunction_ring("a")."""
+    aring = K.adjunction_ring("a")
+    t = aring.const(K.gen("t"))
+    return parse_frac(aring, text, resolve=lambda name: t if name == "t" else None).num
+
+
+# f = a^d + p t a^j + s a^i + c t + r, the shape of the bench's extend_qt
+# calls; the values were printed by the arithmetic that cancels the gcd of
+# every cross product, and cancelling by Henrici's rule must print the same
+EXTEND_PINS = [
+    ("a^3 + 2*t*a^2 + a - t + 3", "(((-2)/(3))*a^2 + ((1)/(3)))/(a^2 + ((4*t)/(3))*a + ((1)/(3)))"),
+    ("a^3 - (1/2)*t*a + 3*a^2 + 2*t - 1", "(((1)/(6))*a + ((-2)/(3)))/(a^2 + (2)*a + ((-t)/(6)))"),
+    ("a^4 + t*a^3 + 2*a - (1/3)*t + 1", "(((-1)/(4))*a^3 + ((1)/(12)))/(a^3 + ((3*t)/(4))*a^2 + ((1)/(2)))"),
+    ("a^4 - 2*t*a + (1/2)*a^2 + 3*t - 2", "(((1)/(2))*a + ((-3)/(4)))/(a^3 + ((1)/(4))*a + ((-t)/(2)))"),
+]
+
+
+@pytest.mark.parametrize("f, value", EXTEND_PINS, ids=["deg3_j2", "deg3_j1", "deg4_j3", "deg4_j1"])
+def test_extend_separable_values_are_pinned(f, value):
+    K = qt_field()
+    assert {op: str(v) for op, v in extend_separable(K, "a", _minimal_poly(K, f)).items()} == {(1, 1): value}
+
+
+def test_extend_separable_arithmetic_never_normalizes_a_product(monkeypatch):
+    # in a one-variable ring, + * / cancel by Henrici's rule and only rescale;
+    # a result built by the cross formula and `_normalize_general` would run
+    # Euclid on the products again
+    K = qt_field()
+    f = _minimal_poly(K, EXTEND_PINS[2][0])
+    running, calls, from_arithmetic = [], [], []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def op(self, other, fn=getattr(Frac, name)):
+            running.append(self.ring)
+            try:
+                return fn(self, other)
+            finally:
+                running.pop()
+        monkeypatch.setattr(Frac, name, op)
+    general = polynomials._normalize_general
+
+    def counted(num, den):
+        calls.append(num.ring)
+        if running and running[-1] is num.ring and num.ring.nvars == 1:
+            from_arithmetic.append((str(num), str(den)))
+        return general(num, den)
+
+    monkeypatch.setattr(polynomials, "_normalize_general", counted)
+    extend_separable(K, "a", f)
+    assert calls  # the reductions mod f still build their fractions through it
+    assert from_arithmetic == []
 
 
 def test_solve_by_grade_reports_nonzero_residual():

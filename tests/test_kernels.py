@@ -10,6 +10,7 @@ from helpers import constant_field, sl2_constants, trivial_derivation, two_deriv
 from opfield import groebner
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
+from opfield.free_module import FreeCalculus
 from opfield.indices import psi
 from opfield.kernels import (
     Kernel,
@@ -128,6 +129,20 @@ def test_prolong_shares_the_field_calculus():
     k = generic_two_derivations(r=1)
     k3 = k.prolong().prolong()
     assert k3.fc is k.fc is k.field.fc
+
+
+@pytest.mark.parametrize("name", ["kernel_riccati_qt.json", "kernel_equal_flows.json"])
+def test_ell_is_memoized_and_kernels_leave_it_unchanged(name):
+    # prolong and jet_value read fc.ell(word) for each jet they rewrite; the
+    # shared calculus hands every caller one vector, which must stay as built
+    k = load_kernel(FIXTURES / name)
+    k.prolong().prolong().validate()
+    memo = dict(k.fc._ell)
+    assert memo
+    fresh = FreeCalculus(k.field.gamma, k.field)
+    for word, vec in memo.items():
+        assert k.fc.ell(word) is vec
+        assert vec == fresh.ell(word)
 
 
 @pytest.mark.parametrize("name", ["kernel_riccati.json", "kernel_equal_flows.json"])

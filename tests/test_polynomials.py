@@ -203,10 +203,15 @@ CHARS = st.sampled_from((0, 2, 3, 7))
 NONZERO = st.integers(-20, 20).filter(bool)
 
 
-@given(CHARS, st.integers(0, 2), NONZERO, NONZERO, NONZERO, NONZERO)
+@given(st.sampled_from((0, 2, 3, 7, "t")), st.integers(0, 2), NONZERO, NONZERO, NONZERO, NONZERO)
 def test_normalize_constant_fast_path_matches_general(char, nvars, a, b, c, d):
-    ring = PolyRing(("x", "y")[:nvars], FieldSpec(char))
-    num, den = _const(ring, a, b), _const(ring, c, d)
+    if char == "t":
+        rt = PolyRing(("t",))
+        ring = PolyRing(("x", "y")[:nvars], FracDomain(rt))
+        num, den = ring.const(_qt_coeff(rt, a, b)), ring.const(_qt_coeff(rt, c, d))
+    else:
+        ring = PolyRing(("x", "y")[:nvars], FieldSpec(char))
+        num, den = _const(ring, a, b), _const(ring, c, d)
     fast, general = _normalize(num, den), _normalize_general(num, den)
     assert fast == general
     coeff_types = [[type(v) for v in p.terms.values()] for p in (*fast, *general)]
@@ -353,6 +358,16 @@ def _den_one_frac(kind, ring, terms) -> Frac:
     return f
 
 
+def _matches_general(fast: Frac, num: Poly, den: Poly):
+    """fast is the pair `_normalize_general` makes of num/den, term for term and in print."""
+    ring = num.ring
+    ref = _normalize_general(num, den) if num else (ring.zero, ring.one)
+    assert (fast.num.terms, fast.den.terms) == (ref[0].terms, ref[1].terms)
+    assert str(fast) == str(Frac(*ref, normalize=False))
+    for ours, theirs in zip((fast.num, fast.den), ref):
+        assert [type(c) for c in ours.terms.values()] == [type(c) for c in theirs.terms.values()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_DEN_ONE_DOMAINS)), _DEN_ONE_TERMS, _DEN_ONE_TERMS)
 def test_denominator_one_fast_paths_match_general(kind, a_terms, b_terms):
@@ -367,10 +382,46 @@ def test_denominator_one_fast_paths_match_general(kind, a_terms, b_terms):
         (a - a, a.num * a.den - a.num * a.den, a.den * a.den),
     ]
     for fast, num, den in cases:
-        ref = _normalize_general(num, den) if num else (ring.zero, ring.one)
-        assert (fast.num.terms, fast.den.terms) == (ref[0].terms, ref[1].terms)
-        assert str(fast) == str(Frac(*ref, normalize=False))
-        assert [type(c) for c in fast.num.terms.values()] == [type(c) for c in ref[0].terms.values()]
+        _matches_general(fast, num, den)
+
+
+# the one-variable rings, whose `+ - * /` follow Henrici's rule
+_HENRICI_RINGS = {"q": PolyRing(("t",)), "f5": PolyRing(("t",), FieldSpec(5)), "qt": K_OF_A}
+SHORT_UNIVARIATE = st.lists(st.integers(-5, 5), min_size=1, max_size=3)
+
+
+def _henrici_poly(kind, coeffs) -> Poly:
+    """sum c_k x^k; in K_OF_A, where Euclid on the reference's products is
+    slow, only up to degree 1, and an odd c_k stands for c_k/2 and an even
+    one for c_k t + 1."""
+    ring = _HENRICI_RINGS[kind]
+    if kind != "qt":
+        return _univariate(ring, coeffs)
+    rt = ring.domain.base
+    return Poly(ring, {(k,): _qt_coeff(rt, c, 2 if c % 2 else 1) for k, c in enumerate(coeffs[:2]) if c})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_HENRICI_RINGS)), st.integers(-5, 5), *[SHORT_UNIVARIATE] * 5)
+def test_henrici_arithmetic_matches_general(kind, h, a, b, c, d, w):
+    # x and y share the degree-one factor h in their denominators; z = w/b - x
+    # keeps h in its own, so in x + z the sum t shares a factor with
+    # g = gcd(b, d) as well. x * z, x / y and z * y reach both cross gcds of `*`.
+    ring = _HENRICI_RINGS[kind]
+    h, a, b, c, d, w = (_henrici_poly(kind, p) for p in ([-h, 2], a, b, c, d, w))
+    assume(a and b and c and d and w)
+    x, y = Frac(a, h * b), Frac(c, h * d)
+    z = Frac(w * x.den - x.num * b, b * x.den)
+    assume(z)
+    const = Frac(a, ring.const(6))  # over Q a constant denominator other than one
+    poly = Frac(c, ring.one)
+    for u, v in [(x, y), (x, z), (z, y), (x, const), (const, poly), (poly, x), (x, x)]:
+        _matches_general(u + v, u.num * v.den + v.num * u.den, u.den * v.den)
+        _matches_general(u - v, u.num * v.den - v.num * u.den, u.den * v.den)
+        _matches_general(u * v, u.num * v.num, u.den * v.den)
+        _matches_general(u / v, u.num * v.den, u.den * v.num)
+        _matches_general(v.num / u, v.num * u.den, u.num)  # Frac.__rtruediv__
+        _matches_general(3 / u, 3 * u.den, u.num)
 
 
 def test_cached_ones_are_shared_and_never_drift(monkeypatch, capsys):
