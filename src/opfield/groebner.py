@@ -1,11 +1,12 @@
 """Buchberger Gröbner engine: reduced bases, membership, elimination.
 
-Deliberately small: normal-pair criteria only, no F4/F5. Critical pairs wait
-in a heap keyed on the order key of their lcm (ties broken by index), and each
-basis element's leading monomial is computed once, when it is added. Intended
-for desk scale (tens of variables, single-digit degrees). A degree cap,
-configurable through the WORKBENCH_GB_DEGREE_CAP environment variable, aborts
-runaway computations with a clean error.
+Deliberately small: Buchberger's two criteria, no F4/F5 (Cox–Little–O'Shea
+§2.9, §2.10). A pair with coprime leads is never queued; the others wait in
+a heap keyed on the order key of their lcm (ties broken by index), and the
+chain criterion skips those it covers. Intended for desk scale (tens of
+variables, single-digit degrees). A degree cap, configurable through the
+WORKBENCH_GB_DEGREE_CAP environment variable, aborts runaway computations
+with a clean error.
 
 Every basis is in one order, `LEX`: lex with later variables biggest. It
 eliminates later variables first: for every k, the basis elements in
@@ -87,56 +88,42 @@ def s_poly(f: Poly, g: Poly) -> Poly:
 def buchberger(gens) -> tuple[Poly, ...]:
     """The unique reduced Gröbner basis of the ideal generated by `gens`."""
     cap = _degree_cap()
-    basis = [g.monic(LEX) for g in gens if g]
-    # deterministic start ordering
-    basis.sort(key=lambda g: LEX.key(g.lm(LEX)))
-    # drop duplicates
-    seen = []
-    for g in basis:
-        if all(g != h for h in seen):
-            seen.append(g)
-    if not seen:
-        return ()
-
-    basis = []
+    basis: list[Poly] = []
     lms: list[tuple] = []  # lms[k] is the leading monomial of basis[k]
-    # Heap of (order key of lcm(lms[i], lms[j]), i, j) with i > j: the pair
-    # with the smallest lcm pops first, ties by index, so the run is
+    # Heap of (order key of l, i, j, l) for l = lcm(lms[i], lms[j]), i > j: the
+    # pair with the smallest lcm pops first, ties by index, so the run is
     # deterministic whatever the push order.
     pairs: list = []
     processed: set[tuple[int, int]] = set()
 
     def add(g: Poly) -> None:
-        i = len(basis)
-        lm = g.lm(LEX)
+        i, lm = len(basis), g.lm(LEX)
+        for j, lj in enumerate(lms):
+            if any(a and b for a, b in zip(lm, lj)):
+                l = _lcm(lm, lj)
+                heapq.heappush(pairs, (LEX.key(l), i, j, l))
+            else:
+                # first criterion: the S-polynomial of coprime leads reduces
+                # to 0 (CLO §2.9 Prop. 4), and that standard representation
+                # is all the chain criterion asks of a processed pair
+                processed.add((i, j))
         basis.append(g)
         lms.append(lm)
-        for j in range(i):
-            heapq.heappush(pairs, (LEX.key(_lcm(lm, lms[j])), i, j))
 
-    for g in seen:
+    # deterministic start ordering; `_reduce_basis` drops repeats
+    for g in sorted((g.monic(LEX) for g in gens if g), key=lambda g: LEX.key(g.lm(LEX))):
         add(g)
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, l = heapq.heappop(pairs)
         processed.add((i, j))
-        li, lj = lms[i], lms[j]
-        l = _lcm(li, lj)
-        # first criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(li, lj, l)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], l):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik in processed and pjk in processed:
-                    skip = True
-                    break
-        if skip:
+        # chain criterion (CLO §2.10): a k with lms[k] | l whose pairs
+        # with i and j are both processed makes (i, j) redundant
+        if any(
+            k != i and k != j and _divides(lk, l)
+            and (max(i, k), min(i, k)) in processed and (max(j, k), min(j, k)) in processed
+            for k, lk in enumerate(lms)
+        ):
             continue
         r = normal_form_list(s_poly(basis[i], basis[j]), basis)
         if r:
@@ -147,26 +134,21 @@ def buchberger(gens) -> tuple[Poly, ...]:
 
 
 def _reduce_basis(basis: list[Poly]) -> tuple[Poly, ...]:
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal: list[Poly] = []
-    leads = [g.lm(LEX) for g in basis]
-    for idx, g in enumerate(basis):
-        lm = leads[idx]
-        if any(
-            k != idx
-            and _divides(leads[k], lm)
-            and (leads[k] != lm or k < idx)
-            for k in range(len(basis))
-        ):
-            continue
-        minimal.append(g)
-    # inter-reduce tails in one pass: the leads of a minimal basis never
-    # change, and a remainder has no term any lead divides, so an element
-    # stays reduced while the others are reduced after it
-    for idx in range(len(minimal)):
-        minimal[idx] = normal_form_list(minimal[idx], minimal[:idx] + minimal[idx + 1 :])
-    minimal.sort(key=lambda g: LEX.key(g.lm(LEX)))
-    return tuple(minimal)
+    """The reduced basis of the ideal of which `basis`, monic, is a Gröbner
+    basis, sorted by lead (CLO §2.7).
+
+    In lead order an element is kept when no kept lead divides its lead, and
+    its tail is reduced by the kept elements before it only: a lead divides
+    only monomials at least as big as itself, so no later lead divides a term
+    below this element's lead, and a repeated lead is dropped."""
+    kept: list[Poly] = []
+    leads: list[tuple] = []
+    for g in sorted(basis, key=lambda g: LEX.key(g.lm(LEX))):
+        lm = g.lm(LEX)
+        if not any(_divides(h, lm) for h in leads):
+            kept.append(normal_form_list(g, kept))
+            leads.append(lm)
+    return tuple(kept)
 
 
 class Ideal:

@@ -526,10 +526,16 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.ring.nvars <= 1:  # a normalized fraction's parts are unique here
+            return self.num == other.num and self.den == other.den
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.ring.nvars <= 1:
+            return hash((self.num, self.den))
+        # partial cancellation leaves equal fractions with different parts;
+        # a/b = c/d gives deg a - deg b = deg c - deg d
+        return hash(self.num.total_degree() - self.den.total_degree())
 
     def __str__(self):
         if self.den == self.ring.one:

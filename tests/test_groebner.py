@@ -1,14 +1,21 @@
+import hashlib
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from importlib.resources import files
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from opfield import groebner
+from opfield.cli import main
 from opfield.groebner import (
     DegreeCapExceeded,
     Ideal,
     _divides,
+    _reduce_basis,
     buchberger,
     normal_form_list,
     s_poly,
@@ -127,6 +134,65 @@ def test_degree_cap_negative(monkeypatch, rxy):
     assert buchberger([x - y])
 
 
+def test_degree_cap_stops_the_found_system(monkeypatch):
+    # z < y < x: the answer has degree at most 12, but this pair order meets degree 16 first
+    monkeypatch.delenv("WORKBENCH_GB_DEGREE_CAP", raising=False)
+    ring = PolyRing(("z", "y", "x"))
+    z, y, x = ring.var("z"), ring.var("y"), ring.var("x")
+    with pytest.raises(DegreeCapExceeded, match="produced degree 16 beyond cap 12;"):
+        buchberger([y * z**2 + 1, x**2 * y**2 + 1, x * y**2 + x**2])
+
+
+def _cap_outcomes(seed: int, count: int) -> list[str]:
+    """For each of `count` seeded random systems in 2-4 variables over Q,
+    F_2, F_3 or F_5, its reduced basis as text or its degree-cap message."""
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(count):
+        nvars = rng.randrange(2, 5)
+        ring = PolyRing(("x", "y", "z", "w")[:nvars], FieldSpec(rng.choice((0, 2, 3, 5))))
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            terms = {
+                tuple(rng.randrange(0, 4) for _ in range(nvars)): ring.domain.coerce(rng.randrange(-3, 4))
+                for _ in range(rng.randrange(1, 4))
+            }
+            gens.append(Poly(ring, terms))
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        try:
+            outcomes.append("; ".join(map(str, buchberger(gens))))
+        except DegreeCapExceeded as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_degree_cap_outcomes_are_pinned(monkeypatch):
+    # which systems stop at the cap, and where, depends on the pair order; the
+    # digest and the hit count were recorded when every pair was still queued
+    monkeypatch.setenv("WORKBENCH_GB_DEGREE_CAP", "8")
+    outcomes = _cap_outcomes(23, 300)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    hits = sum(o.startswith("Gröbner computation produced degree") for o in outcomes)
+    assert (digest, hits) == ("0e973d25007d4a7308e3acd5d18e379ce5cb855fc170749b6bd1963104b3133d", 49)
+
+
+def test_equal_flows_realisation_queues_no_pair(monkeypatch):
+    # every pair met while realising equal_flows has coprime leads, so no pair
+    # waits in the heap and no S-polynomial is formed
+    pushes, s_polys = [], []
+
+    def push(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    monkeypatch.setattr(groebner, "s_poly", lambda f, g: s_polys.append((f, g)) or s_poly(f, g))
+    path = files("opfield") / "fixtures" / "kernel_equal_flows.json"
+    assert main(["kernel", "realize", str(path), "--r", "1", "--order", "8"]) == 0
+    assert (len(pushes), len(s_polys)) == (0, 0)
+
+
 def test_ideal_equality(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     a = Ideal(rxy, [x - y])
@@ -239,3 +305,25 @@ def test_buchberger_matches_sympy(sympy, system):
     )
     expected = {_from_sympy(g, ring) for g in theirs.polys}
     assert set(buchberger(gens)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=systems(), data=st.data())
+def test_reduce_basis_of_a_padded_basis_is_the_reduced_basis(system, data):
+    # pad the reduced basis G with ideal members: repeats, proper multiples
+    # x_v * g, and for each h before g, g + c*m*h with m*lm(h) < lm(g) (m = 1
+    # if the drawn m is too big), a lead of G over an unreduced tail; in any
+    # order, basis reduction gives G back
+    ring, gens = system
+    basis = buchberger(gens)
+    padded = list(basis)
+    for k, g in enumerate(basis):
+        padded.append(g)
+        padded.append(g * ring.var(data.draw(st.integers(0, len(NAMES) - 1))))
+        for h in basis[:k]:
+            m = data.draw(st.tuples(*[st.integers(0, 2)] * len(NAMES)))
+            mh = Poly(ring, {m: ring.domain.one}) * h
+            if LEX.key(mh.lm(LEX)) > LEX.key(g.lm(LEX)):
+                mh = h
+            padded.append(g + mh.scale(data.draw(st.integers(1, 3))))
+    assert _reduce_basis(data.draw(st.permutations(padded))) == basis

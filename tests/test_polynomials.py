@@ -424,6 +424,29 @@ def test_henrici_arithmetic_matches_general(kind, h, a, b, c, d, w):
         _matches_general(3 / u, 3 * u.den, u.num)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_HENRICI_RINGS)), *[SHORT_UNIVARIATE] * 4)
+def test_univariate_frac_equality_is_cross_multiplication(kind, a, b, c, d):
+    # in a one-variable ring == compares the parts, which agrees with
+    # cross-multiplication because a normalized fraction is unique there
+    a, b, c, d = (_henrici_poly(kind, p) for p in (a, b, c, d))
+    assume(b and d)
+    u, v, w = Frac(a, b), Frac(c, d), Frac(a * d, b * d)
+    for f, g in [(u, v), (u, w), (v, w), (u, u)]:
+        assert (f == g) == (f.num * g.den == g.num * f.den)
+        assert f != g or hash(f) == hash(g)
+    assert u == w
+
+
+def test_equal_fractions_hash_alike_with_partial_cancellation():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    a, b = Frac(x * y, x * z), Frac(y, z)
+    # with two or more variables no gcd is taken, so equal fractions keep different parts
+    assert (a.num, a.den) != (b.num, b.den)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_cached_ones_are_shared_and_never_drift(monkeypatch, capsys):
     ring = PolyRing(("x", "y"))
     assert ring.one is ring.one
