@@ -141,6 +141,8 @@ def validate(spec: dict) -> LocalAlgebra:
     Raises AlgebraError with codes NOT_LOCAL / COMM_FAIL / ASSOC_FAIL /
     RANK_FAIL, or SpecError for shape problems.
     """
+    if "dim" not in spec:
+        raise SpecError("algebra spec missing field 'dim'")
     fs = FieldSpec(char=spec_int(spec.get("char", 0), "char"))
     dim = spec_int(spec["dim"], "dim")
     grades = [spec_int(g, "grade") for g in spec_json(spec.get("grades", ()), "list", "grades")]

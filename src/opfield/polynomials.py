@@ -112,9 +112,6 @@ class FracDomain:
 # rings and polynomials
 # ---------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?:\[[0-9,;]*\])?")
-
-
 class PolyRing:
     """Polynomial ring with a fixed ordered list of variable names."""
 

@@ -56,11 +56,7 @@ def _load_json(source, base_dir: Path | None):
 # ---------------------------------------------------------------------------
 
 def load_algebra(source, base_dir: Path | None = None) -> LocalAlgebra:
-    data, _ = _load_json(source, base_dir)
-    for key in ("dim",):
-        if key not in data:
-            raise SpecFileError(f"algebra spec missing field {key!r}")
-    return validate(data)
+    return validate(_load_json(source, base_dir)[0])
 
 
 def dump_algebra(alg: LocalAlgebra) -> dict:
@@ -139,29 +135,38 @@ def _parse_field_parts(data, base_dir):
     return spec, d1, d2, coeffs("lie"), coeffs("hs"), action
 
 
-def load_dfield(source, base_dir: Path | None = None, overrides: dict | None = None) -> DField:
+def load_dfield(source, base_dir: Path | None = None, gamma: tuple | None = None) -> DField:
+    """`gamma`, a gamma spec and its directory, lays its d1/d2/lie/hs over
+    the field's own; its d1/d2 paths resolve from that directory."""
     data, base_dir = _load_json(source, base_dir)
     if "dim" in data or ("n" in data and "r" in data):
         raise SpecFileError(f"{guess_kind(data)} spec where an operator field spec is expected")
-    if overrides:
-        data = {**data, **overrides}
+    if gamma is not None:
+        over, over_dir = gamma
+        # an algebra names no other file, so its object stands in for its path
+        data = data | {k: _load_json(over[k], over_dir)[0] if k in ("d1", "d2") else over[k]
+                       for k in ("d1", "d2", "lie", "hs") if k in over}
     spec, d1, d2, lie, hs, action = _parse_field_parts(data, base_dir)
     try:
-        gamma = GammaSystem(d1, d2, lie, hs, spec)
-        return DField(spec, gamma, action)
+        return DField(spec, GammaSystem(d1, d2, lie, hs, spec), action)
     except SpecError as e:
         raise SpecFileError(str(e))
 
 
-def load_gamma(source, base_dir: Path | None = None) -> DField:
-    """The operator field a gamma spec describes; its system is `.gamma`."""
-    data, base_dir = _load_json(source, base_dir)
-    if data.get("field") is None:
-        # with no field of its own the spec is read as a dfield: that reads
-        # the same char, gens, action, d1, d2, lie and hs, with these defaults
-        return load_dfield(data, base_dir)
-    overrides = {k: data[k] for k in ("d1", "d2", "lie", "hs") if k in data}
-    return load_dfield(data["field"], base_dir, overrides=overrides)
+def load_gamma(source, base_dir: Path | None = None, dfield: tuple | None = None) -> DField:
+    """The operator field a gamma spec describes; its system is `.gamma`.
+
+    Its d1/d2/lie/hs are laid over its own `field` or, when it describes no
+    field, over `dfield`, a kernel's field reference and directory. Otherwise
+    it is read as a dfield, which reads the same keys with these defaults.
+    """
+    gamma = _load_json(source, base_dir)
+    data, gamma_dir = gamma
+    if data.get("field") is not None:
+        return load_dfield(data["field"], gamma_dir, gamma)
+    if dfield is not None and not any(k in data for k in ("field", "char", "gens", "action")):
+        return load_dfield(*dfield, gamma)
+    return load_dfield(data, gamma_dir)
 
 
 def dump_gamma(gamma: GammaSystem, field: DField | None = None) -> dict:
@@ -202,17 +207,11 @@ def load_kernel(source, base_dir: Path | None = None) -> Kernel:
     for key in ("n", "r"):
         if key not in data:
             raise SpecFileError(f"kernel spec missing field {key!r}")
-    # a path and an inline object name the same gamma: read it first, then
-    # lay its d1/d2/lie/hs over the kernel's dfield only when it describes
-    # no field of its own
-    gamma, gamma_dir = _load_json(data["gamma"], base_dir) if "gamma" in data else ({}, None)
-    if "dfield" in data and not any(k in gamma for k in ("field", "char", "gens", "action")):
-        overrides = {k: gamma[k] for k in ("d1", "d2", "lie", "hs") if k in gamma}
-        field = load_dfield(data["dfield"], base_dir, overrides=overrides)
-    elif "gamma" in data:
-        field = load_gamma(gamma, gamma_dir)
-    else:
+    if "dfield" not in data and "gamma" not in data:
         raise SpecFileError("kernel spec needs a dfield or a gamma")
+    # the dfield is read only when it is the field the gamma lies over
+    dfield = (data["dfield"], base_dir) if "dfield" in data else None
+    field = load_gamma(data.get("gamma", {}), base_dir, dfield)
     try:
         n, r = (spec_int(data[key], key) for key in ("n", "r"))
         relations = spec_json(data.get("relations", []), "list", "relations")

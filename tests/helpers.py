@@ -1,9 +1,29 @@
-"""Shared mathematical fixtures for the suite."""
+"""Shared mathematical fixtures and schema validation for the suite."""
+
+import json
+from importlib.resources import files
+from pathlib import Path
+
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
 from opfield.local_algebra import derivation_algebra, truncation_algebra
 from opfield.scalars import FieldSpec
+
+SCHEMAS = {
+    p.name: json.loads(p.read_text())
+    for p in Path(str(files("opfield") / "schemas")).glob("*.schema.json")
+}
+# the schemas name each other by "$id", which is each one's file name
+SCHEMA_REGISTRY = Registry().with_resources((s["$id"], Resource.from_contents(s)) for s in SCHEMAS.values())
+
+
+def validate_schema(data, kind):
+    """Validate `data` against `<kind>.schema.json`, following its `$ref`s."""
+    Draft202012Validator({"$ref": f"{kind}.schema.json"}, registry=SCHEMA_REGISTRY).validate(data)
+
 
 SL2_LIE = {
     (1, 2, 3): 1, (2, 1, 3): -1,

@@ -13,7 +13,6 @@ from importlib.resources import files
 from math import factorial
 from pathlib import Path
 
-import jsonschema
 import pytest
 from helpers import (
     constant_field,
@@ -21,6 +20,7 @@ from helpers import (
     passing_fixtures,
     trivial_derivation,
     two_derivations,
+    validate_schema,
 )
 
 from opfield.cli import main
@@ -50,7 +50,6 @@ from opfield.scalars import FieldSpec
 from opfield.specs import canonicalize
 
 FIXTURES = Path(str(files("opfield") / "fixtures"))
-SCHEMAS = Path(str(files("opfield") / "schemas"))
 
 
 class budget:
@@ -380,21 +379,21 @@ def test_11_cli_contract(tmp_path, capsys):
 
         code, out = run(["--format", "json", "kernel", "leaders", str(FIXTURES / "kernel_riccati.json")])
         assert code == 0
-        jsonschema.validate(json.loads(out), json.loads((SCHEMAS / "leaders.schema.json").read_text()))
+        validate_schema(json.loads(out), "leaders")
 
         code, out = run(["--format", "json", "gamma", "check", str(FIXTURES / "gamma_mixed_f2.json")])
         assert code == 0
-        jsonschema.validate(json.loads(out), json.loads((SCHEMAS / "report.schema.json").read_text()))
+        validate_schema(json.loads(out), "report")
 
         code, out = run(
             ["--format", "json", "kernel", "realize", str(FIXTURES / "kernel_riccati.json"), "--r", "2", "--order", "6"]
         )
         assert code == 0
-        jsonschema.validate(json.loads(out), json.loads((SCHEMAS / "realize.schema.json").read_text()))
+        validate_schema(json.loads(out), "realize")
 
         code, out = run(["--format", "json", "free", "table", "--gamma", str(FIXTURES / "gamma_sl2.json"), "--order", "1"])
         assert code == 0
-        jsonschema.validate(json.loads(out), json.loads((SCHEMAS / "freetable.schema.json").read_text()))
+        validate_schema(json.loads(out), "freetable")
 
         # exit code 1: validator failure with witness
         bad = tmp_path / "idempotent.json"

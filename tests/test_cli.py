@@ -9,8 +9,8 @@ import time
 from importlib.resources import files
 from pathlib import Path
 
-import jsonschema
 import pytest
+from helpers import validate_schema
 from hypothesis import given, settings, strategies as st
 
 import opfield
@@ -19,12 +19,6 @@ from opfield.cli import main
 from opfield.specs import load_kernel
 
 FIXTURES = Path(str(files("opfield") / "fixtures"))
-SCHEMAS = Path(str(files("opfield") / "schemas"))
-
-
-def schema(name):
-    return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
-
 
 RICCATI = json.loads((FIXTURES / "kernel_riccati.json").read_text())
 RICCATI_QT = json.loads((FIXTURES / "kernel_riccati_qt.json").read_text())
@@ -93,7 +87,7 @@ def test_entry_point_runs():
 def test_algebra_validate_json(capsys):
     code, data = run_json(["algebra", "validate", str(FIXTURES / "algebra_truncation3.json")], capsys)
     assert code == 0
-    jsonschema.validate(data, schema("report"))
+    validate_schema(data, "report")
     assert data["status"] == "PASS"
 
 
@@ -106,7 +100,7 @@ def test_algebra_validate_bad_exit_code(tmp_path, capsys):
     code, data = run_json(["algebra", "validate", str(bad)], capsys)
     assert code == 1
     assert data["code"] == "NOT_LOCAL"
-    jsonschema.validate(data, schema("report"))
+    validate_schema(data, "report")
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -115,6 +109,25 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert main(["algebra", "validate", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["algebra", "validate", str(missing)]) == 2
+
+
+def test_algebra_without_dim_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "nodim.json"
+    path.write_text(json.dumps({"char": 0, "grades": [1], "products": []}))
+    assert main(["algebra", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == "PARSE_ERROR: algebra spec missing field 'dim'\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verbose_note_goes_to_stderr_only(fmt, capsysbinary):
+    argv = ["--format", fmt, "kernel", "realize", str(FIXTURES / "kernel_riccati.json"), "--r", "2", "--order", "6"]
+    assert main(argv) == 0
+    quiet = capsysbinary.readouterr()
+    assert main(["-v", *argv]) == 0
+    verbose = capsysbinary.readouterr()
+    assert quiet.err == b""
+    assert verbose.err == f"opfield kernel: reading {FIXTURES / 'kernel_riccati.json'}\n".encode()
+    assert verbose.out == quiet.out != b""
 
 
 def test_non_utf8_spec_is_parse_error(tmp_path):
@@ -177,6 +190,7 @@ def test_kernel_realize_inseparable_witness_names_the_jet(fmt, tmp_path, capsys)
     if fmt == "json":
         data = json.loads(out)
         assert (data["code"], data["witness"]) == ("INSEPARABLE_KERNEL", ["x1_[1,1;1,1]"])
+        validate_schema(data, "realize")
     else:
         assert "code: INSEPARABLE_KERNEL\nwitness: ['x1_[1,1;1,1]']\n" in out
 
@@ -290,7 +304,7 @@ def test_algebra_tensor(tmp_path, capsys):
     ])
     assert code == 0
     data = json.loads(out.read_text())
-    jsonschema.validate(data, schema("algebra"))
+    validate_schema(data, "algebra")
     assert data["dim"] == 4
     assert main(["algebra", "validate", str(out)]) == 0
 
@@ -314,7 +328,7 @@ def test_gamma_check_fail_exit(tmp_path, capsys):
     assert code == 1
     assert data["status"] == "FAIL"
     assert data["code"] == "JACOBI_SKEW"
-    jsonschema.validate(data, schema("report"))
+    validate_schema(data, "report")
 
 
 def test_gamma_reduce(tmp_path, capsys):
@@ -326,7 +340,7 @@ def test_gamma_reduce(tmp_path, capsys):
     out = tmp_path / "combined.json"
     assert main(["gamma", "reduce", str(g21), str(g21), "-o", str(out)]) == 0
     data = json.loads(out.read_text())
-    jsonschema.validate(data, schema("gamma"))
+    validate_schema(data, "gamma")
     assert data["d2"]["dim"] == 4
     code, verdict = run_json(["gamma", "check", str(out), "--assoc"], capsys)
     assert code == 0 and verdict["status"] == "PASS"
@@ -355,14 +369,14 @@ def test_free_table(capsys):
     out = capsys.readouterr().out
     assert code == 0
     data = json.loads(out)
-    jsonschema.validate(data, schema("freetable"))
+    validate_schema(data, "freetable")
     assert any(e["index"] == "[]" for e in data["entries"])
 
 
 def test_kernel_leaders_cli(capsys):
     code, data = run_json(["kernel", "leaders", str(FIXTURES / "kernel_riccati.json")], capsys)
     assert code == 0
-    jsonschema.validate(data, schema("leaders"))
+    validate_schema(data, "leaders")
     statuses = {e["jet"]: e["status"] for e in data["entries"]}
     assert statuses["x1_[]"] == "FREE"
     assert statuses["x1_[1,1]"] == "SEPARABLE"
@@ -394,7 +408,7 @@ def test_kernel_prolong_roundtrips(tmp_path, capsys):
     code = main(["kernel", "prolong", str(FIXTURES / "kernel_riccati.json"), "--steps", "2", "-o", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
-    jsonschema.validate(data, schema("kernel"))
+    validate_schema(data, "kernel")
     assert data["r"] == 3
     code, leaders = run_json(["kernel", "leaders", str(out)], capsys)
     assert code == 0 and leaders["separable"]
@@ -406,7 +420,7 @@ def test_kernel_realize_cli(capsys):
         capsys,
     )
     assert code == 0
-    jsonschema.validate(data, schema("realize"))
+    validate_schema(data, "realize")
     assert data["order"] == 6
     assert "-x1_[]^2 + x1_[1,1]" in data["relations"]
 
@@ -450,7 +464,7 @@ def test_kernel_check_point_cli(capsys):
         ["kernel", "check-point", str(FIXTURES / "kernel_riccati.json"), "--values", "1"], capsys
     )
     assert code == 1 and data["status"] == "REJECT"
-    jsonschema.validate(data, schema("report"))
+    validate_schema(data, "report")
     code, data = run_json(
         ["kernel", "check-point", str(FIXTURES / "kernel_riccati_qt.json"), "--values=-1/t"], capsys
     )

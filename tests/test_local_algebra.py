@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opfield
 from opfield.local_algebra import (
     AlgebraError,
     DVector,
@@ -33,6 +34,11 @@ def test_validate_dual_numbers():
     alg = dual_numbers()
     assert alg.m == 1 and alg.d == 1
     assert alg.alpha(1, 1, 1) == 0
+
+
+def test_validate_without_dim_is_a_spec_error():
+    with pytest.raises(SpecError, match="^algebra spec missing field 'dim'$"):
+        opfield.validate({"char": 0, "grades": [1], "products": []})
 
 
 def test_validate_idempotent_not_local():

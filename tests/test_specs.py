@@ -2,8 +2,9 @@ import json
 from importlib.resources import files
 from pathlib import Path
 
-import jsonschema
 import pytest
+from helpers import SCHEMA_REGISTRY, SCHEMAS, validate_schema
+from jsonschema import ValidationError
 
 from opfield.kernels import Kernel
 from opfield.specs import (
@@ -18,7 +19,6 @@ from opfield.specs import (
 )
 
 FIXTURES = Path(str(files("opfield") / "fixtures"))
-SCHEMAS = Path(str(files("opfield") / "schemas"))
 
 KINDS = {
     "algebra_dual_numbers.json": "algebra",
@@ -56,9 +56,40 @@ def test_fixture_roundtrip(name, kind):
 
 @pytest.mark.parametrize("name,kind", sorted(KINDS.items()))
 def test_fixture_schema_valid(name, kind):
-    data = json.loads((FIXTURES / name).read_text())
-    schema = json.loads((SCHEMAS / f"{kind}.schema.json").read_text())
-    jsonschema.validate(data, schema)
+    validate_schema(json.loads((FIXTURES / name).read_text()), kind)
+
+
+def _refs(node):
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"]
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
+def test_schemas_are_written_once_and_reference_each_other():
+    assert SCHEMAS
+    for name, schema in SCHEMAS.items():
+        assert schema["$id"] == name
+        assert "$defs" not in json.dumps(schema)
+        resolver = SCHEMA_REGISTRY.resolver(base_uri=schema["$id"])
+        for ref in _refs(schema):
+            resolver.lookup(ref)  # raises if the reference does not resolve
+    # the references are followed: a bad entry deep inside a kernel is caught
+    kernel = json.loads((FIXTURES / "kernel_riccati.json").read_text())
+    no_c = [{"i": 1, "j": 1, "l": 1}]
+    for bad in ({"hs": no_c}, {"d2": {"char": 0}}, {"lie": no_c, "field": {"gens": [1]}}):
+        with pytest.raises(ValidationError):
+            validate_schema(kernel | {"gamma": bad}, "kernel")
+
+
+def test_realize_schema_takes_a_pass_or_a_fail_report():
+    validate_schema({"status": "FAIL", "code": "INSEPARABLE_KERNEL", "witness": ["x1_[1,1;1,1]"]}, "realize")
+    for bad in ({"status": "PASS", "order": 6, "jets": []}, {"status": "FAIL"}, {"status": "ACCEPT", "code": "X"}):
+        with pytest.raises(ValidationError):
+            validate_schema(bad, "realize")
 
 
 def test_guess_kind():
@@ -82,6 +113,50 @@ def test_gamma_file_with_field_reference(tmp_path):
     field = load_gamma(gm)
     assert field.gamma.m1 == 2
     assert field.spec.gens == ("t",)
+
+
+def _write(path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _field_beside_a_decoy(directory):
+    """sub/f.json, a field over Q(t), beside sub/alg.json, a decoy algebra of dim 2."""
+    _write(directory / "sub" / "alg.json", {"char": 0, "dim": 2, "grades": [1]})
+    _write(directory / "sub" / "f.json", {"char": 0, "gens": ["t"], "action": {}})
+
+
+ALG4 = {"char": 0, "dim": 4, "grades": [1, 1, 1]}
+
+
+def test_gamma_paths_resolve_from_the_gamma_not_its_field(tmp_path):
+    _field_beside_a_decoy(tmp_path)
+    _write(tmp_path / "alg.json", ALG4)
+    gm = _write(tmp_path / "gamma.json", {"field": "sub/f.json", "d1": "alg.json"})
+    assert load_gamma(gm).spec.gens == ("t",)
+    assert canonicalize(gm)["d1"]["dim"] == 4
+
+
+def test_kernel_gamma_paths_resolve_from_the_gamma_file(tmp_path):
+    _field_beside_a_decoy(tmp_path)
+    _write(tmp_path / "g" / "alg.json", ALG4)
+    _write(tmp_path / "g" / "gamma.json", {"d1": "alg.json"})
+    kn = _write(tmp_path / "kernel.json", {"dfield": "sub/f.json", "gamma": "g/gamma.json", "n": 1, "r": 1})
+    kernel = load_kernel(kn)
+    assert kernel.gamma.d1.dim == 4 and kernel.field.spec.gens == ("t",)
+
+
+def test_kernel_dfield_is_read_only_when_it_is_the_field(tmp_path):
+    gamma = {"char": 0, "gens": ["s"], "action": {}}
+    kernel = load_kernel({"dfield": "missing.json", "gamma": gamma, "n": 1, "r": 1}, tmp_path)
+    assert kernel.field.spec.gens == ("s",)
+    with pytest.raises(SpecFileError, match="^no such file: .*missing.json$"):
+        load_kernel({"dfield": "missing.json", "gamma": {"lie": []}, "n": 1, "r": 1}, tmp_path)
+    with pytest.raises(SpecFileError, match="^a spec reference must be a non-empty path or an object, got None$"):
+        load_kernel({"dfield": None, "n": 1, "r": 1})
+    with pytest.raises(SpecFileError, match="^a spec reference must be a non-empty path or an object, got ''$"):
+        load_gamma({"field": gamma, "d2": ""})
 
 
 @pytest.mark.parametrize("name, key", [("gamma_sl2.json", "lie"), ("gamma_iterative_2_2.json", "hs")])
