@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .scalars import Fp, FieldSpec, SpecError
 
@@ -123,7 +124,8 @@ class PolyRing:
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
-        # one shared Poly: Poly.__init__ copies its dict and nothing mutates .terms in place
+        # one shared Poly: a product by it returns the other factor itself, so
+        # nothing may ever write to the .terms of this or any other Poly
         self.one = Poly(self, {(0,) * len(self.names): self.domain.one})
 
     def __eq__(self, other):
@@ -178,7 +180,10 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial: exponent tuple -> coefficient."""
+    """Immutable-by-convention sparse polynomial: exponent tuple -> coefficient.
+
+    A sum with a zero operand and a product by one return the other operand
+    itself, so nothing may ever write to `.terms` after construction."""
 
     __slots__ = ("ring", "terms")
 
@@ -235,6 +240,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         res = dict(self.terms)
         for e, c in other.terms.items():
             s = res.get(e)
@@ -263,10 +272,25 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # one returns the other factor itself; another one-term factor scales
+        # it or shifts it (no two terms collide). Coefficients commute, so the
+        # one-term factor may be either.
+        ring = self.ring
+        if other == ring.one:
+            return self
+        if self == ring.one:
+            return other
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            ((e2, c2),) = other.terms.items()
+            if any(e2):
+                return Poly(ring, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in self.terms.items()})
+            return Poly(ring, {e1: c1 * c2 for e1, c1 in self.terms.items()})
         res: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = res.get(e)
                 s = c if s is None else s + c
@@ -274,7 +298,7 @@ class Poly:
                     res[e] = s
                 elif e in res:
                     del res[e]
-        return Poly(self.ring, res)
+        return Poly(ring, res)
 
     __rmul__ = __mul__
 
@@ -393,20 +417,29 @@ def _rat_content(p: Poly) -> Fraction:
 class Frac:
     """Normalized fraction of polynomials from one ring.
 
-    A sum or product of two fractions with denominator `ring.one` is already
-    normalized, so it is built as is: nothing cancels against one, and the
-    scale is right. Over Q the content scaling makes a denominator-one
-    fraction's coefficients integers, and integer sums and products stay
-    integer; over F_p and a `FracDomain` the denominator need only be monic.
-    So every `Frac` over `ring.one` must be normalized: each `normalize=False`
-    site passing `ring.one` builds a variable, a constant over a `FracDomain`,
-    or the negation or power of a normalized fraction. Keep it that way.
+    A sum or product of two fractions with denominator `ring.one`, or the
+    quotient of such a fraction by a fraction 1/c, is already normalized, so
+    it is built as is: nothing cancels against one, and the scale is right.
+    Over Q the content scaling makes a denominator-one fraction's
+    coefficients, and a normalized denominator's, integers, and integer sums
+    and products stay integer; over F_p and a `FracDomain` the denominator
+    need only be monic. So every `Frac` over `ring.one` must be normalized:
+    each `normalize=False` site passing `ring.one` builds a variable, a
+    constant over a `FracDomain`, or the negation or power of a normalized
+    fraction. Keep it that way.
 
     In a one-variable ring every normalized fraction is in lowest terms, so
     `+ - * /` there follow Henrici's rule (Knuth, TAOCP Vol. 2, §4.5.1): in
     a/b + c/d only gcd(t, g) can cancel, for g = gcd(b, d) and t = a(d/g) +
     c(b/g); in (a/b)(c/d) only gcd(a, d) and gcd(c, b). No gcd of the
     products is taken, and only the result's scale is fixed (`_rescale`).
+
+    A zero operand never reaches those formulas: `+` returns the other
+    operand, and `*` and `/` return the zero numerator's fraction. That is
+    exact because normalization is idempotent: the general formula would
+    normalize the other operand's own pair, or 0/(bd), and get that operand
+    back unchanged, in one variable and in the partial multivariate case
+    alike. Like `Poly`, a `Frac` is never written to after construction.
     """
 
     __slots__ = ("num", "den")
@@ -450,6 +483,10 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
         one = self.ring.one
         if b == one and d == one:
@@ -480,9 +517,8 @@ class Frac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        one = self.ring.one
-        if self.den == one and other.den == one:
-            return Frac(self.num * other.num, one, normalize=False)
+        if not other.num:
+            return other
         return self._times(other.num, other.den)
 
     __rmul__ = __mul__
@@ -505,6 +541,11 @@ class Frac:
         """self * (c/d), d != 0; in a one-variable ring the cross gcds cancel
         before the parts are multiplied."""
         a, b = self.num, self.den
+        if not a:
+            return self
+        one = self.ring.one
+        if b == one and d == one:
+            return Frac(a * c, one, normalize=False)
         if self.ring.nvars != 1:
             return Frac(a * c, b * d)
         a, d, _ = _cancel_univariate(a, d, 0)

@@ -317,6 +317,37 @@ def test_extend_separable_arithmetic_never_normalizes_a_product(monkeypatch):
     assert from_arithmetic == []
 
 
+def test_extend_separable_arithmetic_never_cancels_against_zero(monkeypatch):
+    # a zero operand of `Frac` + or * is returned or gives the zero at once,
+    # so no gcd search of a product's parts sees a zero part
+    K = qt_field()
+    f = _minimal_poly(K, EXTEND_PINS[2][0])
+    p = f.ring.var(0) + f.ring.const(K.gen("t"))
+    assert p * f.ring.one is p and f.ring.one * p is p
+    running, calls, with_zero = [], [], []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def op(self, other, fn=getattr(Frac, name)):
+            running.append(name)
+            try:
+                return fn(self, other)
+            finally:
+                running.pop()
+        monkeypatch.setattr(Frac, name, op)
+    cancel = polynomials._cancel_univariate
+
+    def counted(num, den, i):
+        if running:
+            calls.append(running[-1])
+            if not num or not den:
+                with_zero.append((running[-1], str(num), str(den)))
+        return cancel(num, den, i)
+
+    monkeypatch.setattr(polynomials, "_cancel_univariate", counted)
+    extend_separable(K, "a", f)
+    assert calls  # the counter is live: Henrici's rule still cancels through it
+    assert with_zero == []
+
+
 def test_solve_by_grade_reports_nonzero_residual():
     # a wrong separant leaves d(a^2 - t) = 2a*y - 1 at -1/2 in coordinate 1
     K = qt_field()

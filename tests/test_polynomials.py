@@ -333,6 +333,94 @@ def test_constant_denominator_divides_like_exact_div(char, num_terms, c, d):
     assert [str(p) for p in ours] == [str(p) for p in theirs]
 
 
+def _ref_mul(p: Poly, q: Poly) -> Poly:
+    """p * q by the plain double loop, terms in the order the loop meets them."""
+    res: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = res.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                res[e] = s
+            elif e in res:
+                del res[e]
+    return Poly(p.ring, res)
+
+
+def _ref_add(p: Poly, q: Poly) -> Poly:
+    """p + q by merging q's terms into a copy of p's."""
+    res = dict(p.terms)
+    for e, c in q.terms.items():
+        s = res.get(e)
+        s = c if s is None else s + c
+        if s:
+            res[e] = s
+        elif e in res:
+            del res[e]
+    return Poly(p.ring, res)
+
+
+def _ref_sub(p: Poly, q: Poly) -> Poly:
+    return _ref_add(p, -q)
+
+
+def _cross(u: Frac, v: Frac, op: str) -> tuple[Poly, Poly]:
+    """The (num, den) pair the general formula builds for u op v, by the reference loops."""
+    if op in "+-":
+        join = _ref_add if op == "+" else _ref_sub
+        return join(_ref_mul(u.num, v.den), _ref_mul(v.num, u.den)), _ref_mul(u.den, v.den)
+    if op == "*":
+        return _ref_mul(u.num, v.num), _ref_mul(u.den, v.den)
+    return _ref_mul(u.num, v.den), _ref_mul(u.den, v.num)
+
+
+_REF_DOMAINS = {"q": FieldSpec(0), "f5": FieldSpec(5), "qt": FracDomain(PolyRing(("t",)))}
+_REF_TERMS = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), NONZERO, NONZERO), min_size=2, max_size=4)
+_SHAPES = ("zero", "one", "const", "monomial", "general")
+
+
+def _shaped(kind, ring, shape, terms) -> Poly:
+    """A polynomial of `ring` of the given shape, its coefficients read from terms."""
+    dom = ring.domain
+
+    def coeff(n, k):
+        if kind == "qt":
+            return _qt_coeff(dom.base, n, k)
+        return Fraction(n, k) if kind == "q" else dom.coerce(n)
+
+    (e, n, k), zero = terms[0], (0,) * ring.nvars
+    if shape == "zero":
+        return ring.zero
+    if shape == "one":
+        return ring.one
+    if shape == "const":
+        return Poly(ring, {zero: coeff(n, k)})
+    if shape == "monomial":
+        e = e[: ring.nvars] if any(e[: ring.nvars]) else (1,) + zero[1:]
+        return Poly(ring, {e: coeff(n, k)})
+    return Poly(ring, {e[: ring.nvars]: coeff(n, k) for e, n, k in terms})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_REF_DOMAINS)), st.integers(1, 3), _REF_TERMS, _REF_TERMS)
+def test_products_and_sums_match_the_reference_loops(kind, nvars, p_terms, q_terms):
+    # a zero, one, constant or monomial operand skips the double loop; every
+    # shape pair must give the loop's terms, in its order and of its types
+    ring = PolyRing(("x", "y", "z")[:nvars], _REF_DOMAINS[kind])
+    for p_shape in _SHAPES:
+        for q_shape in _SHAPES:
+            p, q = _shaped(kind, ring, p_shape, p_terms), _shaped(kind, ring, q_shape, q_terms)
+            for ours, ref in [(p * q, _ref_mul(p, q)), (p + q, _ref_add(p, q)), (p - q, _ref_sub(p, q))]:
+                assert ours.terms == ref.terms, (p_shape, q_shape)
+                assert list(ours.terms) == list(ref.terms), (p_shape, q_shape)
+                assert [type(c) for c in ours.terms.values()] == [type(c) for c in ref.terms.values()]
+    p = _shaped(kind, ring, "general", p_terms)
+    if len(p.terms) > 1:  # else p may be zero or one itself, and either operand is the answer
+        assert p * ring.one is p and ring.one * p is p
+        assert p + ring.zero is p and ring.zero + p is p
+
+
 # the coefficient rings of every kind a `Frac` meets: Q, F_p, the bare
 # fraction field of a ring with no generators (jet rings over Q) and Q(t)
 _DEN_ONE_DOMAINS = {
@@ -376,12 +464,12 @@ def test_denominator_one_fast_paths_match_general(kind, a_terms, b_terms):
     ring = PolyRing(("x", "y"), _DEN_ONE_DOMAINS[kind])
     a, b = _den_one_frac(kind, ring, a_terms), _den_one_frac(kind, ring, b_terms)
     cases = [
-        (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
-        (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
-        (a * b, a.num * b.num, a.den * b.den),
-        (a - a, a.num * a.den - a.num * a.den, a.den * a.den),
+        (a + b, _cross(a, b, "+")),
+        (a - b, _cross(a, b, "-")),
+        (a * b, _cross(a, b, "*")),
+        (a - a, _cross(a, a, "-")),
     ]
-    for fast, num, den in cases:
+    for fast, (num, den) in cases:
         _matches_general(fast, num, den)
 
 
@@ -416,12 +504,39 @@ def test_henrici_arithmetic_matches_general(kind, h, a, b, c, d, w):
     const = Frac(a, ring.const(6))  # over Q a constant denominator other than one
     poly = Frac(c, ring.one)
     for u, v in [(x, y), (x, z), (z, y), (x, const), (const, poly), (poly, x), (x, x)]:
-        _matches_general(u + v, u.num * v.den + v.num * u.den, u.den * v.den)
-        _matches_general(u - v, u.num * v.den - v.num * u.den, u.den * v.den)
-        _matches_general(u * v, u.num * v.num, u.den * v.den)
-        _matches_general(u / v, u.num * v.den, u.den * v.num)
-        _matches_general(v.num / u, v.num * u.den, u.num)  # Frac.__rtruediv__
-        _matches_general(3 / u, 3 * u.den, u.num)
+        _matches_general(u + v, *_cross(u, v, "+"))
+        _matches_general(u - v, *_cross(u, v, "-"))
+        _matches_general(u * v, *_cross(u, v, "*"))
+        _matches_general(u / v, *_cross(u, v, "/"))
+        _matches_general(v.num / u, _ref_mul(v.num, u.den), u.num)  # Frac.__rtruediv__
+        _matches_general(3 / u, _ref_mul(ring.const(3), u.den), u.num)
+
+
+def _zero_rule_fracs():
+    """Q(t), F_5(t) and Q[x, y, z] with fractions of each kind, the last
+    with the partial cancellation of Frac(x*y, x*z)."""
+    qt, f5t, qxyz = PolyRing(("t",)), PolyRing(("t",), FieldSpec(5)), PolyRing(("x", "y", "z"))
+    for ring in (qt, f5t):
+        yield ring, [parse_frac(ring, text) for text in ("(t^2 + 1)/(2*t - 3)", "3/t", "t - 4", "2/3")]
+    x, y, z = (qxyz.var(v) for v in "xyz")
+    yield qxyz, [Frac(x * y, x * z), Frac(x + 2 * y, qxyz.const(3) * z), Frac(z, qxyz.one)]
+
+
+@pytest.mark.parametrize("ring, fracs", list(_zero_rule_fracs()), ids=["Q(t)", "F5(t)", "Q[x,y,z]"])
+def test_zero_operand_returns_at_once_and_matches_general(ring, fracs):
+    # u + 0 and 0 + u are u, u * 0, 0 * u and 0 / u the zero: the pairs the
+    # general formula builds and normalizes, since normalization is idempotent
+    zero = Frac(ring.zero, ring.one)
+    for u in fracs:
+        assert u + zero is u and zero + u is u and u - zero is u
+        assert u * zero is zero and zero * u is zero and zero / u is zero
+        for a, b in [(u, zero), (zero, u)]:
+            _matches_general(a + b, *_cross(a, b, "+"))
+            _matches_general(a - b, *_cross(a, b, "-"))
+            _matches_general(a * b, *_cross(a, b, "*"))
+        _matches_general(zero / u, *_cross(zero, u, "/"))
+        _matches_general(u + 0, u.num, u.den)
+        _matches_general(0 * u, ring.zero, ring.one)
 
 
 @settings(max_examples=40, deadline=None)
