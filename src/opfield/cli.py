@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = validation passed / computation succeeded, 1 = a validator
-FAILed (witness in the report), 2 = malformed input. The environment variable
+FAILed (witness in the report), 2 = malformed input. An error's base class
+picks its code: a `SpecError` (which `ParseError` and `SpecFileError` are)
+or a missing file exits 2, a `CodedError` (`AlgebraError`, `GammaFail`,
+`KernelError`) or `DegreeCapExceeded` exits 1. The environment variable
 WORKBENCH_GB_DEGREE_CAP (default 12) bounds Gröbner intermediate degrees.
 """
 
@@ -15,10 +18,10 @@ from .commutation import Verdict, check_all, check_associative, check_jacobi
 from .dfields import GammaFail
 from .groebner import DegreeCapExceeded
 from .indices import normal_words_upto
-from .kernels import KernelError, jet_name, realisation_criterion, realize, specialize_check
+from .kernels import jet_name, realisation_criterion, realize, specialize_check
 from .local_algebra import AlgebraError, tensor
-from .polynomials import ParseError, parse_frac
-from .scalars import SpecError
+from .polynomials import parse_frac
+from .scalars import CodedError, SpecError
 from .specs import (
     SpecFileError,
     canonical_json,
@@ -130,7 +133,7 @@ def cmd_dfield_validate(args) -> int:
     try:
         field = load_dfield(args.file)
     except GammaFail as e:
-        return _verdict_exit(report, Verdict(False, "GAMMA_FAIL", e.witness))
+        return _verdict_exit(report, Verdict(False, e.code, e.witness))
     report.put("status", "PASS")
     report.put("gens", list(field.spec.gens))
     report.put("operators", [f"{u},{i}" for (u, i) in field.ops])
@@ -348,10 +351,10 @@ def main(argv=None) -> int:
         print(f"opfield {args.command}: reading {', '.join(inputs) or 'stdin-free arguments'}", file=sys.stderr)
     try:
         return args.handler(args)
-    except (SpecFileError, ParseError, SpecError, FileNotFoundError) as e:
+    except (SpecError, FileNotFoundError) as e:
         print(f"PARSE_ERROR: {e}", file=sys.stderr)
         return BAD_INPUT
-    except (AlgebraError, GammaFail, KernelError, DegreeCapExceeded) as e:
+    except (CodedError, DegreeCapExceeded) as e:
         print(f"FAIL: {e}", file=sys.stderr)
         return FAIL
 

@@ -13,15 +13,11 @@ from .groebner import Ideal
 from .indices import op_key
 from .local_algebra import DVector
 from .polynomials import Frac, FracDomain, Poly, PolyRing
-from .scalars import FieldSpec, SpecError
+from .scalars import CodedError, FieldSpec, SpecError
 
 
-class GammaFail(ValueError):
+class GammaFail(CodedError):
     """Declared generator action breaks the commutation identities."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"GAMMA_FAIL witness={witness}")
 
 
 class NotSeparable(ValueError):
@@ -168,7 +164,7 @@ class DField:
                 for l, c in terms.get((i, j), ()):
                     rhs = rhs + c * firsts[l]
                 if lhs != rhs:
-                    raise GammaFail((i, j, g))
+                    raise GammaFail("GAMMA_FAIL", (i, j, g))
 
     def extend_transcendental(self, name: str, values: dict) -> "DField":
         """Adjoin a fresh generator with the declared operator values."""

@@ -51,6 +51,10 @@ def _divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _coprime(a: tuple, b: tuple) -> bool:
+    return not any(x and y for x, y in zip(a, b))
+
+
 def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -94,21 +98,21 @@ def buchberger(gens) -> tuple[Poly, ...]:
     # pair with the smallest lcm pops first, ties by index, so the run is
     # deterministic whatever the push order.
     pairs: list = []
-    processed: set[tuple[int, int]] = set()
+    processed: set[tuple[int, int]] = set()  # the pairs popped so far
 
     def add(g: Poly) -> None:
         i, lm = len(basis), g.lm(LEX)
         for j, lj in enumerate(lms):
-            if any(a and b for a, b in zip(lm, lj)):
+            if not _coprime(lm, lj):
                 l = _lcm(lm, lj)
                 heapq.heappush(pairs, (LEX.key(l), i, j, l))
-            else:
-                # first criterion: the S-polynomial of coprime leads reduces
-                # to 0 (CLO §2.9 Prop. 4), and that standard representation
-                # is all the chain criterion asks of a processed pair
-                processed.add((i, j))
         basis.append(g)
         lms.append(lm)
+
+    def done(a: int, b: int) -> bool:
+        # popped, or never queued: the S-polynomial of coprime leads reduces
+        # to 0 (CLO §2.9 Prop. 4), all the chain criterion asks of a pair
+        return (max(a, b), min(a, b)) in processed or _coprime(lms[a], lms[b])
 
     # deterministic start ordering; `_reduce_basis` drops repeats
     for g in sorted((g.monic(LEX) for g in gens if g), key=lambda g: LEX.key(g.lm(LEX))):
@@ -118,12 +122,9 @@ def buchberger(gens) -> tuple[Poly, ...]:
         _, i, j, l = heapq.heappop(pairs)
         processed.add((i, j))
         # chain criterion (CLO §2.10): a k with lms[k] | l whose pairs
-        # with i and j are both processed makes (i, j) redundant
-        if any(
-            k != i and k != j and _divides(lk, l)
-            and (max(i, k), min(i, k)) in processed and (max(j, k), min(j, k)) in processed
-            for k, lk in enumerate(lms)
-        ):
+        # with i and j are both done makes (i, j) redundant
+        if any(k != i and k != j and _divides(lk, l) and done(i, k) and done(j, k)
+               for k, lk in enumerate(lms)):
             continue
         r = normal_form_list(s_poly(basis[i], basis[j]), basis)
         if r:

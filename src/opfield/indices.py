@@ -41,13 +41,6 @@ def rho(word: Word) -> Word:
     return tuple(sorted(word, key=op_key, reverse=True))
 
 
-def is_normal(word: Word) -> bool:
-    if hs_count(word) > 1:
-        return False
-    keys = [op_key(op) for op in word]
-    return all(keys[k] >= keys[k + 1] for k in range(len(keys) - 1))
-
-
 def psi(word: Word, m1: int, m2: int) -> tuple[int, ...]:
     """Occurrence counts ordered (1,m1)..(1,1),(2,m2)..(2,1)."""
     counts = {}
@@ -60,13 +53,6 @@ def psi(word: Word, m1: int, m2: int) -> tuple[int, ...]:
 
 def tri_key(word: Word, t: int, m1: int, m2: int):
     return (len(word), t, psi(word, m1, m2))
-
-
-def tri_leq(a: tuple[Word, int], b: tuple[Word, int], m1: int, m2: int) -> bool:
-    """The triangular order: lexicographic on (length, variable, multidegree)."""
-    wa, ta = a
-    wb, tb = b
-    return tri_key(wa, ta, m1, m2) <= tri_key(wb, tb, m1, m2)
 
 
 def normal_words(m1: int, m2: int, length: int) -> list[Word]:
@@ -87,17 +73,6 @@ def normal_words_upto(m1: int, m2: int, length: int) -> list[Word]:
     out = []
     for r in range(length + 1):
         out.extend(normal_words(m1, m2, r))
-    return out
-
-
-def all_words_upto(m1: int, m2: int, length: int) -> list[Word]:
-    """Every word (normal or not) of length <= `length`."""
-    alphabet = [(2, i) for i in range(1, m2 + 1)] + [(1, i) for i in range(1, m1 + 1)]
-    out: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(length):
-        frontier = [w + (op,) for w in frontier for op in alphabet]
-        out.extend(frontier)
     return out
 
 

@@ -24,17 +24,11 @@ from .groebner import Ideal, normal_form_list
 from .indices import Word, chi, dickson_minimize, normal_words, op_key, rho, tri_key
 from .local_algebra import DVector, frobenius_assumption
 from .polynomials import Frac, FracDomain, Poly, PolyRing, parse_frac
-from .scalars import SpecError
+from .scalars import CodedError, SpecError
 
 
-class KernelError(ValueError):
-    def __init__(self, code: str, detail: str = "", witness=None):
-        self.code = code
-        self.witness = witness
-        msg = code if not detail else f"{code}: {detail}"
-        if witness is not None:
-            msg += f" witness={witness}"
-        super().__init__(msg)
+class KernelError(CodedError):
+    """A kernel that fails a check; `code` ends in _FAIL or is INSEPARABLE_KERNEL."""
 
 
 def jet_name(t: int, word: Word) -> str:
@@ -211,7 +205,7 @@ class Kernel:
                 if self.ideal.normal_form(images[op[0]][op[1]].num):
                     raise KernelError(
                         "GAMMA_FAIL",
-                        "relations are not closed under the operators",
+                        detail="relations are not closed under the operators",
                         witness=(op, str(g)),
                     )
 
@@ -317,7 +311,7 @@ class Kernel:
                 if chi((op,) + tau) == 0 and not zero_mod_old(per_op[op] - correction(t, (op,) + tau)):
                     raise KernelError(
                         "GAMMA_FAIL",
-                        "collapsed derivative disagrees with its correction term",
+                        detail="collapsed derivative disagrees with its correction term",
                         witness=(op, jet_name(t, tau)),
                     )
 
@@ -338,7 +332,7 @@ class Kernel:
                     if not zero_mod_old(values[0] - other):
                         raise KernelError(
                             "GAMMA_FAIL",
-                            "two derivative routes disagree",
+                            detail="two derivative routes disagree",
                             witness=(jet_name(t, mu),),
                         )
                 routes_checked += len(values) - 1
@@ -429,7 +423,7 @@ def realize(kernel: Kernel, r: int, order: int) -> Kernel:
     """Iterated generic prolongation up to the target order."""
     verdict = realisation_criterion(kernel, r)
     if not verdict:
-        raise KernelError("CRITERION_FAIL", str(verdict))
+        raise KernelError("CRITERION_FAIL", detail=str(verdict))
     if order < kernel.r:
         raise SpecError("target order below the kernel length")
     current = kernel
@@ -439,10 +433,7 @@ def realize(kernel: Kernel, r: int, order: int) -> Kernel:
         nxt = current.prolong()
         nxt_report = nxt.leaders()
         if set(nxt_report.minimal_separable) != base_min or set(nxt_report.inseparable) != base_insep:
-            raise KernelError(
-                "GAMMA_FAIL",
-                "prolongation changed the minimal leader structure",
-            )
+            raise KernelError("GAMMA_FAIL", detail="prolongation changed the minimal leader structure")
         current = nxt
     return current
 

@@ -11,19 +11,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .scalars import FieldSpec, SpecError, spec_int, spec_json
+from .scalars import CodedError, FieldSpec, SpecError, spec_int, spec_json
 
 
-class AlgebraError(ValueError):
+class AlgebraError(CodedError):
     """Validation failure; `code` in {NOT_LOCAL, COMM_FAIL, ASSOC_FAIL, RANK_FAIL}."""
-
-    def __init__(self, code: str, witness=None, detail: str = ""):
-        self.code = code
-        self.witness = witness
-        msg = code if not detail else f"{code}: {detail}"
-        if witness is not None:
-            msg += f" witness={witness}"
-        super().__init__(msg)
 
 
 class NotUnit(ZeroDivisionError):

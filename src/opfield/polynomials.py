@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from .scalars import Fp, FieldSpec, SpecError
@@ -402,18 +402,6 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
 # fractions
 # ---------------------------------------------------------------------------
 
-def _rat_content(p: Poly) -> Fraction:
-    nums = [c.numerator for c in p.terms.values()]
-    dens = [c.denominator for c in p.terms.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    return Fraction(g, l)
-
-
 class Frac:
     """Normalized fraction of polynomials from one ring.
 
@@ -469,15 +457,7 @@ class Frac:
         return Frac(ring.const(x), ring.one)
 
     def _coerce(self, other):
-        if isinstance(other, Frac):
-            if other.ring != self.ring:
-                raise SpecError("fractions from different rings")
-            return other
-        if isinstance(other, Poly):
-            return Frac(other, other.ring.one)
-        if isinstance(other, (int, Fraction, Fp)):
-            return Frac(self.ring.const(other), self.ring.one)
-        return None
+        return Frac.of(other, self.ring) if isinstance(other, (Frac, Poly, int, Fraction, Fp)) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -647,11 +627,12 @@ def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             num = Poly(ring, {e: v / c for e, v in num.terms.items()})
         den = ring.one
     if isinstance(dom, FieldSpec) and dom.char == 0:
-        cn, cd = _rat_content(num), _rat_content(den)
-        g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
-        lc = den.lc()
-        sign = -1 if lc < 0 else 1
-        scale = 1 / (g * sign)
+        # one over the content of num and den together: the gcd of their
+        # numerators over the lcm of their denominators
+        cs = (*num.terms.values(), *den.terms.values())
+        scale = Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
+        if den.lc() < 0:
+            scale = -scale
         return (num, den) if scale == 1 else (num.scale(scale), den.scale(scale))
     # prime field or fraction coefficients: monic denominator
     lc = den.lc()
@@ -761,7 +742,7 @@ def poly_str(p: Poly) -> str:
     return out
 
 
-class ParseError(ValueError):
+class ParseError(SpecError):
     """Bad polynomial text; carries an offset into the source string."""
 
     def __init__(self, msg, pos=None):
@@ -867,7 +848,10 @@ def parse_frac(ring: PolyRing, text: str, resolve=None) -> Frac:
             return inner
         raise ParseError("expected a term", p0)
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:  # recursive descent: each "(" takes four frames
+        raise ParseError("expression nested too deeply") from None
     if peek()[0] != "end":
         raise ParseError("trailing input", peek()[2])
     return result

@@ -113,6 +113,18 @@ class SpecError(ValueError):
     """Malformed mathematical spec (bad characteristic, grades, names...)."""
 
 
+class CodedError(ValueError):
+    """A check that failed: `code` names it, `witness` shows where."""
+
+    def __init__(self, code: str, witness=None, detail: str = ""):
+        self.code = code
+        self.witness = witness
+        msg = code if not detail else f"{code}: {detail}"
+        if witness is not None:
+            msg += f" witness={witness}"
+        super().__init__(msg)
+
+
 def spec_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):  # JSON true is no integer
         raise SpecError(f"{what} must be an integer, got {value!r}")

@@ -19,7 +19,7 @@ from .polynomials import parse_frac
 from .scalars import FieldSpec, SpecError, spec_int, spec_json
 
 
-class SpecFileError(ValueError):
+class SpecFileError(SpecError):
     """PARSE_ERROR: bad file contents; carries the offending location."""
 
     def __init__(self, msg, where=""):
@@ -43,7 +43,7 @@ def _load_json(source, base_dir: Path | None):
         raise SpecFileError(f"no such file: {path}")
     except IsADirectoryError:
         raise SpecFileError(f"not a file: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # too deeply nested
         raise SpecFileError(f"invalid JSON: {e}", where=str(path))
     try:
         return spec_json(data, "object", "a spec"), path.parent

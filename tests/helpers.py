@@ -9,6 +9,7 @@ from referencing import Registry, Resource
 
 from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
+from opfield.indices import hs_count, op_key, tri_key
 from opfield.local_algebra import derivation_algebra, truncation_algebra
 from opfield.scalars import FieldSpec
 
@@ -97,3 +98,32 @@ def constant_field(gamma, gens=()):
     spec = FieldSpec(char=gamma.fieldspec.char, gens=tuple(gens))
     action = {op: {g: 0 for g in gens} for op in gamma.ops}
     return DField(spec, gamma, action)
+
+
+# reference definitions of the index calculus, which the library itself never
+# needs: it only builds normal words and compares triangular keys
+
+
+def is_normal(word) -> bool:
+    if hs_count(word) > 1:
+        return False
+    keys = [op_key(op) for op in word]
+    return all(keys[k] >= keys[k + 1] for k in range(len(keys) - 1))
+
+
+def tri_leq(a, b, m1: int, m2: int) -> bool:
+    """The triangular order: lexicographic on (length, variable, multidegree)."""
+    wa, ta = a
+    wb, tb = b
+    return tri_key(wa, ta, m1, m2) <= tri_key(wb, tb, m1, m2)
+
+
+def all_words_upto(m1: int, m2: int, length: int) -> list:
+    """Every word (normal or not) of length <= `length`."""
+    alphabet = [(2, i) for i in range(1, m2 + 1)] + [(1, i) for i in range(1, m1 + 1)]
+    out = [()]
+    frontier = [()]
+    for _ in range(length):
+        frontier = [w + (op,) for w in frontier for op in alphabet]
+        out.extend(frontier)
+    return out

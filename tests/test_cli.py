@@ -294,6 +294,51 @@ def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _nested_parse_error(argv, message):
+    """Run the CLI; it must exit 2 with `message` and no traceback, within a
+    few seconds, interpreter start included."""
+    start = time.perf_counter()
+    proc = run_cli_process(argv)
+    assert time.perf_counter() - start < 3.0
+    assert proc.returncode == 2, proc.stderr
+    assert f"PARSE_ERROR: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["kernel", "leaders"], ["algebra", "validate"], ["gamma", "check"], ["spec", "canonical"]],
+    ids=lambda c: "_".join(c),
+)
+def test_deeply_nested_json_is_parse_error(command, tmp_path):
+    # the JSON decoder recurses once per array, and 100 000 levels exhaust
+    # the interpreter's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _nested_parse_error(command + [str(path)], "invalid JSON: ")
+
+
+NESTED_T = "(" * 300 + "t" + ")" * 300
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (RICCATI | {"relations": ["(" * 300 + "x1_[]" + ")" * 300 + " - x1_[1,1]"]}, ["kernel", "leaders"]),
+        (None, ["dfield", "apply", "--op", "1,1", "--expr", NESTED_T, str(FIXTURES / "dfield_qt.json")]),
+        (None, ["kernel", "check-point", str(FIXTURES / "kernel_riccati_qt.json"), f"--values={NESTED_T}"]),
+    ],
+    ids=["kernel_relation", "dfield_apply_expr", "check_point_values"],
+)
+def test_deeply_nested_expression_is_parse_error(spec, argv, tmp_path):
+    # the expression parser takes four frames per parenthesis
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + [str(path)]
+    _nested_parse_error(argv, "expression nested too deeply")
+
+
 def test_algebra_tensor(tmp_path, capsys):
     out = tmp_path / "tensor.json"
     code = main([

@@ -1,12 +1,19 @@
 import itertools
 
 import pytest
-from helpers import identity_breaking_perturbations, passing_fixtures, sl2_constants, trivial_derivation, two_derivations
+from helpers import (
+    all_words_upto,
+    identity_breaking_perturbations,
+    passing_fixtures,
+    sl2_constants,
+    trivial_derivation,
+    two_derivations,
+)
 
 from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
 from opfield.free_module import FreeCalculus
-from opfield.indices import all_words_upto, chi, normal_words_upto, rho
+from opfield.indices import chi, normal_words_upto, rho
 from opfield.local_algebra import from_table
 from opfield.scalars import FieldSpec
 

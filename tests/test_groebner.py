@@ -307,6 +307,31 @@ def test_buchberger_matches_sympy(sympy, system):
     assert set(buchberger(gens)) == expected
 
 
+def test_chain_criterion_reads_a_coprime_pair_that_was_never_queued(sympy, monkeypatch):
+    # leads x < x*y < y*z. The pair (x*y, x) pops first; then x divides the
+    # lcm x*y*z of (y*z, x*y), and (y*z, x) has coprime leads, so it was
+    # never queued, yet its S-polynomial reduces to 0. With both pairs done,
+    # the chain criterion skips (y*z, x*y) without forming its S-polynomial.
+    ring = PolyRing(NAMES)
+    x, y, z = (ring.var(v) for v in NAMES)
+    gens = [y * z + 1, x + 2, x * y + 2 * y]
+    pushes, formed = [], []
+
+    def push(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    monkeypatch.setattr(groebner, "s_poly", lambda f, g: formed.append((f.lm(LEX), g.lm(LEX))) or s_poly(f, g))
+    basis = buchberger(gens)
+    assert [item[3] for item in pushes] == [(1, 1, 0), (1, 1, 1)]
+    assert formed == [((1, 1, 0), (1, 0, 0))]
+    symbols = sympy.symbols(NAMES)
+    theirs = sympy.groebner([_to_sympy(sympy, g, symbols) for g in gens], *symbols[::-1], order="lex", domain="QQ")
+    assert basis == tuple(sorted((_from_sympy(g, ring) for g in theirs.polys), key=lambda g: LEX.key(g.lm(LEX))))
+    assert basis == (x + 2, y * z + 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=systems(), data=st.data())
 def test_reduce_basis_of_a_padded_basis_is_the_reduced_basis(system, data):

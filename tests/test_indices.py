@@ -1,21 +1,19 @@
 import itertools
 import random
 
+from helpers import all_words_upto, is_normal, tri_leq
 from hypothesis import given, strategies as st
 
 from opfield.indices import (
-    all_words_upto,
     chi,
     dickson_minimize,
     dominates,
-    is_normal,
     normal_words,
     normal_words_upto,
     op_key,
     psi,
     rho,
     tri_key,
-    tri_leq,
 )
 
 

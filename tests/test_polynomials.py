@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from importlib.resources import files
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from opfield.polynomials import (
     PolyRing,
     _normalize,
     _normalize_general,
+    _rescale,
     exact_div,
     parse_frac,
     parse_poly,
@@ -189,6 +191,53 @@ def test_normalize_idempotent(num_terms, den_terms):
     f = Frac(num, den)
     g = Frac(f.num, f.den)
     assert g.num == f.num and g.den == f.den
+
+
+def _rat_content(p: Poly) -> Fraction:
+    """The Q content of `p`, the gcd of its numerators over the lcm of its denominators."""
+    nums = [c.numerator for c in p.terms.values()]
+    dens = [c.denominator for c in p.terms.values()]
+    g = 0
+    for n in nums:
+        g = gcd(g, abs(n))
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    return Fraction(g, l)
+
+
+def _two_pass_rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The reference for `_rescale` over Q: num's and den's contents taken
+    one by one, then combined into a gcd over an lcm."""
+    ring = num.ring
+    if den.is_const():
+        num, den = num.scale(1 / den.const_value()), ring.one
+    cn, cd = _rat_content(num), _rat_content(den)
+    g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
+    sign = -1 if den.lc() < 0 else 1
+    scale = 1 / (g * sign)
+    return num.scale(scale), den.scale(scale)
+
+
+RATIONAL_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36).filter(bool),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(RATIONAL_TERMS, RATIONAL_TERMS)
+def test_one_pass_content_scale_matches_two_pass(num_terms, den_terms):
+    # each coefficient is in lowest terms, so the gcd of the numerators is
+    # coprime to the lcm of the denominators, and one pass over num and den
+    # together gives the contents' gcd over their lcm
+    ring = PolyRing(("x", "y"))
+    num, den = Poly(ring, num_terms), Poly(ring, den_terms)
+    expected = _two_pass_rescale(num, den)
+    got = _rescale(num, den)
+    assert got == expected
+    assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in expected]
 
 
 def _const(ring, n: int, k: int) -> Poly:

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib.resources import files
 from pathlib import Path
 
@@ -205,3 +206,17 @@ def test_missing_fields_reported():
         load_kernel({"n": 1})
     with pytest.raises(SpecFileError):
         canonicalize({"nonsense": True})
+
+
+def test_nested_input_is_a_spec_file_error(tmp_path):
+    # both the JSON decoder and the expression parser recurse; running out of
+    # frames is a malformed spec, and a parse error met while a spec loads
+    # reaches the caller as the spec's error, with the parser's message
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SpecFileError, match=f"^invalid JSON: maximum recursion depth exceeded .*\\(in {re.escape(str(nested))}\\)$"):
+        load_kernel(nested)
+    data = json.loads((FIXTURES / "kernel_riccati.json").read_text())
+    data["relations"] = ["(" * 300 + "x1_[]" + ")" * 300 + " - x1_[1,1]"]
+    with pytest.raises(SpecFileError, match="^expression nested too deeply$"):
+        load_kernel(data)
