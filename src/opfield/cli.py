@@ -4,14 +4,22 @@ Exit codes: 0 = validation passed / computation succeeded, 1 = a validator
 FAILed (witness in the report), 2 = malformed input. An error's base class
 picks its code: a `SpecError` (which `ParseError` and `SpecFileError` are)
 or a missing file exits 2, a `CodedError` (`AlgebraError`, `GammaFail`,
-`KernelError`) or `DegreeCapExceeded` exits 1. The environment variable
-WORKBENCH_GB_DEGREE_CAP (default 12) bounds Gröbner intermediate degrees.
+`KernelError`) or `DegreeCapExceeded` exits 1. An `-o` path that cannot be
+written, a directory say, is malformed input and exits 2. The environment
+variable WORKBENCH_GB_DEGREE_CAP (default 12) bounds Gröbner intermediate
+degrees.
+
+The argument parser is built once per process, on the first `main` call,
+and every later call reuses it with a fresh `Namespace`. The `cmd_*`
+handlers are bound at that first build; they look up the library functions
+they call through this module's globals at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .commutation import Verdict, check_all, check_associative, check_jacobi
@@ -60,7 +68,10 @@ class Report:
 def _write_out(path, data: dict):
     text = canonical_json(data)
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise SpecError(f"cannot write output {path}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -263,6 +274,7 @@ def cmd_spec_canonical(args) -> int:
 # argument tree
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="opfield",

@@ -183,13 +183,15 @@ class Poly:
     """Immutable-by-convention sparse polynomial: exponent tuple -> coefficient.
 
     A sum with a zero operand and a product by one return the other operand
-    itself, so nothing may ever write to `.terms` after construction."""
+    itself, and a terms dict without zeros is kept, not copied: nothing may
+    ever write to `.terms` after construction, nor a caller to the dict it
+    passed."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
 
     # -- basic structure ---------------------------------------------------
     def __bool__(self):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from helpers import validate_schema
 from hypothesis import given, settings, strategies as st
 
 import opfield
-from opfield import groebner
+from opfield import cli, groebner
 from opfield.cli import main
 from opfield.specs import load_kernel
 
@@ -339,6 +340,23 @@ def test_deeply_nested_expression_is_parse_error(spec, argv, tmp_path):
     _nested_parse_error(argv, "expression nested too deeply")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "prolong", str(FIXTURES / "kernel_riccati.json")],
+        ["algebra", "tensor", *[str(FIXTURES / "algebra_dual_numbers.json")] * 2],
+        ["gamma", "reduce", str(FIXTURES / "gamma_iterative_2_2.json")],
+        ["spec", "canonical", str(FIXTURES / "kernel_riccati.json")],
+    ],
+    ids=lambda argv: "_".join(argv[:2]),
+)
+def test_output_to_a_directory_is_parse_error(argv, tmp_path):
+    proc = run_cli_process(argv + ["-o", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"PARSE_ERROR: cannot write output {tmp_path}: Is a directory\n"
+    assert proc.stdout == ""
+
+
 def test_algebra_tensor(tmp_path, capsys):
     out = tmp_path / "tensor.json"
     code = main([
@@ -523,6 +541,70 @@ def test_reports_byte_identical(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call; argparse's own
+    exits read as ("SystemExit", code)."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_reads_each_call_as_a_fresh_one(monkeypatch, capsys):
+    # one parser serves every call of a process: a flag, a rejected call or
+    # a help text must leave nothing behind for the next call to read
+    kernel, gamma = str(FIXTURES / "kernel_riccati.json"), str(FIXTURES / "gamma_sl2.json")
+    sequence = [
+        ["--format", "json", "kernel", "leaders", kernel, "--radical-spot-check"],
+        ["kernel", "leaders", kernel],
+        ["kernel", "realize", kernel, "--order", "4"],
+        ["kernel", "realize", kernel, "--r", "2", "--order", "4"],
+        ["gamma", "check", gamma, "--assoc"],
+        ["gamma", "check", gamma],
+        ["--help"],
+        ["--help"],
+    ]
+    cli.build_parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv in sequence]
+    assert cli.build_parser.cache_info()[:2] == (len(sequence) - 1, 1)  # hits, misses
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(argv, capsys) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, ("SystemExit", 2), 0, 0, 0, ("SystemExit", 0), ("SystemExit", 0)]
+    assert reused[0][1] != reused[1][1] and "radical" not in reused[1][1]
+    assert "--r" in reused[2][2]
+    assert reused[6] == reused[7] and reused[6][1].startswith("usage: opfield")
+
+
+def test_import_builds_no_parser():
+    probe = "import opfield.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = run_cli_process(["-c", probe], command=(sys.executable,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_main_builds_its_parsers_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.__wrapped__()
+    per_tree = len(built)  # the top parser and each sub-parser: 19 today
+    assert per_tree > 1
+    built.clear()
+    cli.build_parser.cache_clear()
+    argv = ["algebra", "validate", str(FIXTURES / "algebra_dual_numbers.json")]
+    for _ in range(5):
+        assert main(argv) == 0
+    assert len(built) == per_tree
 
 
 def test_reports_byte_identical_across_processes():

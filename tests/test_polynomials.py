@@ -4,7 +4,7 @@ from importlib.resources import files
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opfield.cli import main
 from opfield.commutation import GammaSystem
@@ -468,6 +468,45 @@ def test_products_and_sums_match_the_reference_loops(kind, nvars, p_terms, q_ter
     if len(p.terms) > 1:  # else p may be zero or one itself, and either operand is the answer
         assert p * ring.one is p and ring.one * p is p
         assert p + ring.zero is p and ring.zero + p is p
+
+
+def _ref_deriv(p: Poly, i: int) -> dict:
+    """The terms of d/dx_i p, term by term: distinct terms stay distinct, and
+    a coefficient that vanishes (p divides e[i] in char p) is dropped."""
+    shifted = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.terms.items() if e[i]}
+    return {e: c for e, c in shifted.items() if c}
+
+
+_ZERO_FREE_DOMAINS = {"q": FieldSpec(0), "f2": FieldSpec(2), "f3": FieldSpec(3), "qt": FracDomain(PolyRing(("t",)))}
+_ZERO_FREE_TERMS = st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * 2), NONZERO, NONZERO), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ZERO_FREE_DOMAINS)), _ZERO_FREE_TERMS, _ZERO_FREE_TERMS, NONZERO)
+@example("f3", [((3, 1), 1, 1), ((1, 0), 2, 1)], [((0, 0), 1, 1)], 2)  # d/dx x^3*y = 3x^2*y = 0
+def test_no_poly_holds_a_zero_coefficient(kind, p_terms, q_terms, scalar):
+    # `Poly` keeps a zero-free terms dict as it is and filters any other, so
+    # every way of building one must end without a zero coefficient
+    ring = PolyRing(("x", "y"), _ZERO_FREE_DOMAINS[kind])
+    dom = ring.domain
+
+    def poly(terms) -> Poly:  # over F_p some coefficients are zero
+        if kind == "qt":
+            return Poly(ring, {e: _qt_coeff(dom.base, n, k) for e, n, k in terms})
+        return Poly(ring, {e: Fraction(n, k) if kind == "q" else dom.coerce(n) for e, n, k in terms})
+
+    def zero_free(f: Poly) -> Poly:
+        assert all(f.terms.values()), f.terms
+        return f
+
+    p, q = zero_free(poly(p_terms)), zero_free(poly(q_terms))
+    for ours, ref in [(p * q, _ref_mul(p, q)), (p + q, _ref_add(p, q)), (p - q, _ref_sub(p, q))]:
+        assert zero_free(ours).terms == ref.terms
+    zero_free(p.scale(scalar))
+    zero_free(p.monic(LEX))
+    for i in (0, 1):
+        assert zero_free(p.deriv(i)).terms == _ref_deriv(p, i)
+    assert zero_free(PolyRing(("x", "y", "z"), dom).lift(p)).terms == {e + (0,): c for e, c in p.terms.items()}
 
 
 # the coefficient rings of every kind a `Frac` meets: Q, F_p, the bare
