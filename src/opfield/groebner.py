@@ -12,7 +12,9 @@ Every basis is in one order, `LEX`: lex with later variables biggest. It
 eliminates later variables first: for every k, the basis elements in
 x_0..x_k are a basis of the ideal's intersection with K[x_0..x_k]. Kernel
 jets are indexed level by level, so the one basis an `Ideal` caches is the
-one leader detection reads and every membership test reduces against.
+one leader detection reads and every membership test reduces against. A
+prolongation that clears no denominator builds its basis by appending its
+new relations, reduced, to the previous level's (`extend_reduced_basis`).
 """
 
 from __future__ import annotations
@@ -152,10 +154,28 @@ def _reduce_basis(basis: list[Poly]) -> tuple[Poly, ...]:
     return tuple(kept)
 
 
+def extend_reduced_basis(basis, rels) -> tuple[Poly, ...]:
+    """The reduced basis of the ideal of `basis` and `rels`, where `basis` is a
+    reduced basis sorted by lead, and `rels` come in lead order, each leading
+    with its own variable, to degree 1, that occurs in no element of `basis`.
+
+    Every pair of leads is then coprime, so the union is a Gröbner basis
+    (CLO §2.9, Prop. 4). No new lead divides a term of `basis`, whose elements
+    so stay reduced; the rels, monic, are reduced in turn as in
+    `_reduce_basis`, and follow them, unless `basis` is (1), which divides
+    every lead."""
+    kept = list(basis)
+    for g in rels:
+        r = normal_form_list(g.monic(LEX), kept)
+        if r:
+            kept.append(r)
+    return tuple(kept)
+
+
 class Ideal:
     """Generator list with its reduced Gröbner basis, cached."""
 
-    __slots__ = ("ring", "gens", "_basis")
+    __slots__ = ("ring", "gens", "_basis", "_seed")
 
     def __init__(self, ring: PolyRing, gens=()):
         self.ring = ring
@@ -164,11 +184,24 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._basis: tuple[Poly, ...] | None = None
+        self._seed: tuple | None = None  # the arguments of `extend_reduced_basis`
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._basis is None:
-            self._basis = buchberger(self.gens)
+            self._basis = buchberger(self.gens) if self._seed is None else extend_reduced_basis(*self._seed)
+            self._seed = None
         return self._basis
+
+    def extended(self, ring: PolyRing, basis: list[Poly], rels: list[Poly]) -> "Ideal":
+        """The ideal of this one's generators, lifted to `ring`, and `rels`.
+
+        `ring` appends variables to this ideal's ring, `basis` is this ideal's
+        basis lifted to it, and the rels, in lead order, each lead with their
+        own appended variable to degree 1. The new basis is
+        `extend_reduced_basis(basis, rels)`, built on first use."""
+        ideal = Ideal(ring, [ring.lift(g) for g in self.gens] + rels)
+        ideal._seed = (basis, rels)
+        return ideal
 
     def normal_form(self, f: Poly) -> Poly:
         return normal_form_list(f, list(self.groebner()))

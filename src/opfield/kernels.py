@@ -274,6 +274,15 @@ class Kernel:
         not constant, the new ideal is saturated by their product
         (`Ideal.saturate`), and the saturation's new basis elements follow
         the generators.
+
+        Otherwise the new basis extends the old one (`Ideal.extended`): the
+        relation of jet x_mu is x_mu - p, and p holds only jets below x_mu.
+        Jets are ranked by (order, family, psi of the word), and an operator
+        adds one to one entry of psi, so it keeps the ranking; a witness
+        holds only jets up to its leader, a correction term `ell` only
+        shorter words, and coordinate i of a product in D_u only the
+        coordinates of lower grade, so of lower index, whose jets rank below
+        x_mu. So each relation leads with its own new jet to degree 1.
         """
         s = self.r
         char = self.field.spec.char
@@ -342,9 +351,11 @@ class Kernel:
                 if not values[0].den.is_const():
                     dens.append(values[0].den)
 
-        new.ideal = Ideal(ring, [ring.lift(g) for g in self.ideal.gens] + new_rels)
         if dens:  # units of the kernel's field, not of its ring
+            new.ideal = Ideal(ring, [ring.lift(g) for g in self.ideal.gens] + new_rels)
             new.ideal = new.ideal.saturate(prod(dens[1:], start=dens[0]))
+        else:
+            new.ideal = self.ideal.extended(ring, old_gb, new_rels)
         new.claim_routes_checked = routes_checked
         return new
 

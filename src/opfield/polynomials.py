@@ -205,6 +205,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_const():  # it equals its scalar value, so hashes like it
+            return hash(self.const_value())
         return hash((self.ring.names, frozenset(self.terms.items())))
 
     def is_const(self) -> bool:
@@ -423,6 +425,8 @@ class Frac:
     a/b + c/d only gcd(t, g) can cancel, for g = gcd(b, d) and t = a(d/g) +
     c(b/g); in (a/b)(c/d) only gcd(a, d) and gcd(c, b). No gcd of the
     products is taken, and only the result's scale is fixed (`_rescale`).
+    When b = d, g is b itself, so a/b + c/b is (a + c)/b cancelled against b
+    only, with no Euclid on (b, d).
 
     A zero operand never reaches those formulas: `+` returns the other
     operand, and `*` and `/` return the zero numerator's fraction. That is
@@ -475,6 +479,12 @@ class Frac:
             return Frac(a + c, one, normalize=False)
         if self.ring.nvars != 1:
             return Frac(a * d + c * b, b * d)
+        if b == d:  # g = b: only gcd(a + c, b) can cancel, and 0 cancels nothing
+            t = a + c
+            if not t:
+                return Frac(t, one, normalize=False)
+            t, b, _ = _cancel_univariate(t, b, 0)
+            return _lowest(t, b)
         b1, d1, g = _cancel_univariate(b, d, 0)
         if g is None:
             return _lowest(a * d + c * b, b * d)
@@ -551,11 +561,15 @@ class Frac:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        num, den = self.num, self.den
+        if num.is_const() and den.is_const():  # as its scalar value, which it equals
+            return hash(num.const_value() / den.const_value())
         if self.ring.nvars <= 1:
-            return hash((self.num, self.den))
+            return hash((num, den))
         # partial cancellation leaves equal fractions with different parts;
-        # a/b = c/d gives deg a - deg b = deg c - deg d
-        return hash(self.num.total_degree() - self.den.total_degree())
+        # a/b = c/d gives deg a - deg b = deg c - deg d, and a constant value
+        # has constant parts, as `exact_div` cancels it
+        return hash(num.total_degree() - den.total_degree())
 
     def __str__(self):
         if self.den == self.ring.one:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +139,9 @@ def spec_json(value, kind: str, what: str):
     return value
 
 
+_GEN_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A computable base field: Q or F_p, with ordered transcendental generators.
@@ -153,8 +157,8 @@ class FieldSpec:
             raise SpecError(f"characteristic {self.char} is not 0 or a prime")
         if len(set(self.gens)) != len(self.gens):
             raise SpecError("duplicate generator names")
-        for g in self.gens:
-            if not g or not g[0].isalpha():
+        for g in self.gens:  # names the expression parser reads back, never a jet's
+            if not _GEN_NAME.fullmatch(g):
                 raise SpecError(f"bad generator name {g!r}")
 
     def coerce(self, x):

@@ -295,6 +295,22 @@ def test_malformed_input_is_parse_error(spec, argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["", "t^2", "a b", "x1_[]"], ids=["empty", "power", "space", "jet"])
+def test_generator_names_the_parser_cannot_read_are_parse_errors(name, tmp_path, capsys):
+    # the parser reads no name but [A-Za-z_][A-Za-z_0-9]*: t^2 is read as a
+    # power, and x1_[] as a jet, which would shadow the generator
+    for spec, argv in [
+        ({"char": 0, "gens": [name]}, ["dfield", "validate"]),
+        (with_dfield(RICCATI_QT, gens=[name], action={}), ["kernel", "leaders"]),
+    ]:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("PARSE_ERROR: ") and f"bad generator name {name!r}" in captured.err
+
+
 def _nested_parse_error(argv, message):
     """Run the CLI; it must exit 2 with `message` and no traceback, within a
     few seconds, interpreter start included."""

@@ -17,6 +17,7 @@ from opfield.groebner import (
     _divides,
     _reduce_basis,
     buchberger,
+    extend_reduced_basis,
     normal_form_list,
     s_poly,
 )
@@ -352,3 +353,24 @@ def test_reduce_basis_of_a_padded_basis_is_the_reduced_basis(system, data):
                 mh = h
             padded.append(g + mh.scale(data.draw(st.integers(1, 3))))
     assert _reduce_basis(data.draw(st.permutations(padded))) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=systems(), data=st.data())
+def test_extend_reduced_basis_is_the_reduced_basis(system, data):
+    # each rel c*w_k + p, with c a nonzero scalar and p in x, y, z and the w_j
+    # before w_k, leads with its own appended variable w_k to degree 1, and
+    # the rels come in lead order; the lifted reduced basis extended by them
+    # is the reduced basis of the whole, also when the basis is (1)
+    ring, gens = system
+    ext = ring.extend(("w0", "w1", "w2"))
+    basis = [ext.lift(g) for g in buchberger(gens)]
+    rels = []
+    for k in range(data.draw(st.integers(1, 3))):
+        width = len(NAMES) + k
+        exps = st.tuples(*[st.integers(0, 2)] * width).filter(lambda e: sum(e) <= 2)
+        tail = data.draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
+        c = data.draw(st.sampled_from((1, 3, 5)))
+        terms = {e + (0,) * (ext.nvars - width): ext.domain.coerce(v) for e, v in tail.items()}
+        rels.append(ext.var(width).scale(c) + Poly(ext, terms))
+    assert extend_reduced_basis(basis, rels) == buchberger(basis + rels)

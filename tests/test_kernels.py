@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from importlib.resources import files
@@ -8,6 +9,7 @@ import pytest
 from helpers import constant_field, sl2_constants, trivial_derivation, two_derivations
 
 from opfield import groebner
+from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
 from opfield.free_module import FreeCalculus
@@ -155,6 +157,53 @@ def test_lifted_lex_basis_is_the_prolonged_reduced_basis(name):
         gens = [new.ring.lift(g) for g in k.ideal.gens]
         assert lifted == groebner.buchberger(gens)
         k = new
+
+
+# ROADMAP's scratch kernels, r = 1 over the field of kernel_equal_flows.json:
+# the family count, the relations and the field's generators and action
+SHAPES = {
+    "pair": (2, ["x1_[1,1] - x2_[]", "x1_[1,2] - x2_[]", "x2_[1,1] - x1_[]", "x2_[1,2] - x1_[]"], {}),
+    "ric_eq": (1, ["x1_[1,1] - x1_[]^2", "x1_[1,2] - x1_[]^2"], {}),
+    "qt_lin": (1, ["x1_[1,1] - t*x1_[]", "x1_[1,2] - x1_[]"], {"gens": ["t"], "action": {"t": {"1,1": "1"}}}),
+    "inv2": (1, ["x1_[]*x1_[1,1] - 1", "x1_[]*x1_[1,2] - 1"], {}),
+}
+
+
+def _shape_kernel(name):
+    if name not in SHAPES:
+        return load_kernel(FIXTURES / name)
+    n, rels, field = SHAPES[name]
+    spec = json.loads((FIXTURES / "kernel_equal_flows.json").read_text())
+    return load_kernel(spec | {"n": n, "relations": rels, "dfield": spec["dfield"] | field})
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("kernel_*.json")) + sorted(SHAPES))
+def test_prolongation_extends_the_reduced_basis(name, monkeypatch):
+    # A level that clears no denominator appends its reduced new relations to
+    # the lifted old basis (`Ideal.extended`), with no Buchberger run; that
+    # must be the basis Buchberger computes from the generators. Only inv2's
+    # first level clears one (x1_[]), and saturates with two runs.
+    k = _shape_kernel(name)
+    runs = []
+    buchberger = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: runs.append(gens) or buchberger(gens))
+    for level in range(3):
+        k = k.prolong()
+        assert k.ideal.groebner() == buchberger(k.ideal.gens)
+        assert len(runs) == (2 if name == "inv2" else 0), level
+
+
+@pytest.mark.parametrize("name", ["kernel_riccati.json", "kernel_equal_flows.json"])
+def test_kernel_prolong_runs_buchberger_once(name, tmp_path, monkeypatch):
+    # the loaded kernel's basis is built by Buchberger; the next level's
+    # extends it, and nothing reads the last level's
+    runs = []
+    buchberger = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: runs.append(gens) or buchberger(gens))
+    out = tmp_path / "prolonged.json"
+    assert main(["kernel", "prolong", str(FIXTURES / name), "--steps", "2", "-o", str(out)]) == 0
+    assert len(runs) == 1
+    assert json.loads(out.read_text())["r"] == 3
 
 
 def test_validate_makes_one_e_per_lower_order_basis_element(monkeypatch):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from opfield import polynomials
 from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
@@ -287,6 +288,31 @@ def test_constant_frac_equality_and_hash(char, a, b, c, d):
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
+
+
+_SCALAR_RINGS = {"Q": PolyRing(()), "F5": PolyRing((), FieldSpec(5)), "Q(t)": PolyRing(("t",)),
+                 "Q(s,t)": PolyRing(("s", "t"))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_SCALAR_RINGS)), st.integers(-20, 20), NONZERO)
+def test_values_equal_to_a_scalar_hash_like_it(kind, n, k):
+    # a constant Poly or Frac equals its scalar value, so a set holds one of
+    # the two; a Frac of constant value has constant parts, also when its
+    # parts cancel a variable
+    ring = _SCALAR_RINGS[kind]
+    dom = ring.domain
+    assume(dom.coerce(k))
+    value = dom.coerce(n) / dom.coerce(k)
+    scalars = [value] + ([int(value)] if kind != "F5" and value.denominator == 1 else [])
+    values = [ring.const(value), Frac(ring.const(n), ring.const(k)), parse_frac(ring, f"({n})/({k})")]
+    if ring.nvars:
+        f = ring.var(0) + ring.var(ring.nvars - 1) + 1
+        values += [Frac(ring.const(value) * f, f), Frac(f, f) * value]
+    for v in values:
+        assert not isinstance(v, Frac) or (v.num.is_const() and v.den.is_const())
+        for c in scalars:
+            assert v == c and hash(v) == hash(c) and len({v, c}) == 1
 
 
 def _univariate(ring, coeffs) -> Poly:
@@ -598,6 +624,58 @@ def test_henrici_arithmetic_matches_general(kind, h, a, b, c, d, w):
         _matches_general(u / v, *_cross(u, v, "/"))
         _matches_general(v.num / u, _ref_mul(v.num, u.den), u.num)  # Frac.__rtruediv__
         _matches_general(3 / u, _ref_mul(ring.const(3), u.den), u.num)
+
+
+def _parse_henrici(ring, text) -> Frac:
+    """text as a fraction of `ring`, where t names Q(t)'s variable in K_OF_A."""
+    def resolve(name):
+        if name == "t" and ring is K_OF_A:
+            rt = ring.domain.base
+            return ring.const(Frac(rt.var(0), rt.one))
+        return None
+
+    return parse_frac(ring, text, resolve=resolve)
+
+
+@pytest.mark.parametrize("kind", sorted(_HENRICI_RINGS))
+def test_sum_over_one_denominator_cancels_against_it_only(kind, monkeypatch):
+    # 1/(x(x + s)) + (2x + 2s - 1)/(x(x + s)) = 2/x, for s = 1 or t: the
+    # sum's numerator shares the factor x + s with the one denominator, and
+    # u - u is the zero
+    ring = _HENRICI_RINGS[kind]
+    x = ring.names[0]
+    shift = "t" if kind == "qt" else "1"
+    u = _parse_henrici(ring, f"1/({x}*({x} + {shift}))")
+    v = _parse_henrici(ring, f"(2*{x} + 2*{shift} - 1)/({x}*({x} + {shift}))")
+    assert u.den == v.den
+    calls = []  # Euclid's runs in `ring`, not in the coefficients' Q[t]
+    cancel = polynomials._cancel_univariate
+    spy = lambda num, den, i: (num.ring is ring and calls.append((num, den))) or cancel(num, den, i)
+    monkeypatch.setattr(polynomials, "_cancel_univariate", spy)
+    total = u + v
+    assert calls == [(_ref_add(u.num, v.num), u.den)]  # none on (b, b)
+    assert str(total) == str(_parse_henrici(ring, f"2/{x}"))
+    _matches_general(total, *_cross(u, v, "+"))
+    for w in (u, v):
+        calls.clear()
+        zero = w - w
+        assert not calls and zero.num == ring.zero and zero.den is ring.one
+        _matches_general(zero, *_cross(w, w, "-"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_HENRICI_RINGS)), st.integers(-5, 5), *[SHORT_UNIVARIATE] * 3)
+def test_sums_over_one_denominator_match_general(kind, h, a, k, q):
+    # u = a/(hk) and v = (hq - a)/(hk) share one denominator, and u + v = q/k
+    # cancels h, a factor the sum's numerator shares with it
+    h, a, k, q = (_henrici_poly(kind, p) for p in ([-h, 2], a, k, q))
+    assume(a and k and q)
+    b = _ref_mul(h, k)
+    u, v = Frac(a, b), Frac(_ref_sub(_ref_mul(h, q), a), b)
+    assume(v and u.den == v.den)
+    for x, y in [(u, v), (v, u), (u, u), (u, -v), (v, -u)]:
+        _matches_general(x + y, *_cross(x, y, "+"))
+        _matches_general(x - y, *_cross(x, y, "-"))
 
 
 def _zero_rule_fracs():
