@@ -206,15 +206,23 @@ def _memo_partials(field, u: int, c):
     return lambda p, i, j, l: nonzero(p, i, j, l) if c(i, j, l) else c(i, j, l)
 
 
-def _triples(gamma: GammaSystem, u: int, m: int) -> list:
-    """The (i, j, k), ascending, at which (i, j), (j, k) or (k, i) keys a
-    nonzero coefficient of family u; m is that family's dimension."""
+def _reached(gamma: GammaSystem, u: int, m: int) -> set:
+    """The (i, j, k) of family u (dimension m) at which a chain c_l^{ij}
+    c^{lk} or c_l^{jk} c^{il} of nonzero coefficients is defined, and every
+    (i, j, k) at which c^{jk} holds a non-constant coefficient."""
+    keys = [(x[1], y[1], terms) for (x, y), terms in gamma.pair_terms.items() if x[0] == u]
+    after, before = {}, {}  # x -> every y with (x, y) keying a coefficient; y -> every such x
+    for x, y, _ in keys:
+        after.setdefault(x, []).append(y)
+        before.setdefault(y, []).append(x)
     out: set = set()
-    for (v, i), (_, j) in gamma.pair_terms:
-        if v == u:
-            for k in range(1, m + 1):
-                out.update(((i, j, k), (k, i, j), (j, k, i)))
-    return sorted(out)
+    for x, y, terms in keys:
+        for (_, l), c in terms:
+            out.update((x, y, z) for z in after.get(l, ()))
+            out.update((z, x, y) for z in before.get(l, ()))
+            if not FracDomain.is_const(c):
+                out.update((i, x, y) for i in range(1, m + 1))
+    return out
 
 
 def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
@@ -233,12 +241,13 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
     The identity visits every (p, y, z, r) those conditions would, so with no
     field a non-constant coefficient raises `SpecError` here as well.
 
-    Both checks visit only what a nonzero coefficient reaches. Each term of
-    either identity at (i, j, k, r) carries some c^{xy}, (x, y) a cyclic pair
-    of (i, j, k) (`_triples`), and `_memo_partials` gives zero for a zero c.
-    At a triple both sides are sparse vectors over r; the reached r are
-    compared in ascending order, taking the derivatives there, so the witness
-    and any `SpecError` come as in the loop over all m^4 tuples.
+    Both checks visit only the triples where a side can be nonzero: with
+    constant coefficients only chains c_l^{xy} c_r^{lz} reach the left side
+    and the right side is 0. Here (x, y, z) runs over the rotations of (i, j,
+    k), so the triples are the rotations of those `_reached` lists. At a
+    triple both sides are sparse vectors over r; the reached r are compared
+    in ascending order, taking the derivatives there, so the witness and any
+    `SpecError` come as in the loop over all m^4 tuples.
     """
     zero = gamma.zero()
 
@@ -253,7 +262,8 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
 
     dc = _memo_partials(field, 1, c)
     terms = gamma.pair_terms
-    for i, j, k in _triples(gamma, 1, gamma.m1):
+    triples = {t for x, y, z in _reached(gamma, 1, gamma.m1) for t in ((x, y, z), (z, x, y), (y, z, x))}
+    for i, j, k in sorted(triples):
         # a cyclic pair (x, y) reaches r through c_l^{xy} c_r^{lz} on the
         # left and through d_z c_r^{xy} on the right
         lhs, reached = {}, set()
@@ -269,8 +279,8 @@ def check_jacobi(gamma: GammaSystem, field=None) -> Verdict:
 
 def check_associative(gamma: GammaSystem, field=None) -> Verdict:
     """The HS-side coefficient identity (composition closes correctly), on
-    the reached tuples as in `check_jacobi`; a triple's derivative terms are
-    taken before its first r, where the loop over all r takes them."""
+    the `_reached` triples as in `check_jacobi`; a triple's derivative terms
+    are taken before its first r, where the loop over all r takes them."""
     if gamma.d2 is None:
         return PASS
     zero = gamma.zero()
@@ -280,7 +290,7 @@ def check_associative(gamma: GammaSystem, field=None) -> Verdict:
 
     dc = _memo_partials(field, 2, c)
     terms, alpha = gamma.pair_terms, gamma.d2.by_target
-    for i, j, k in _triples(gamma, 2, gamma.m2):
+    for i, j, k in sorted(_reached(gamma, 2, gamma.m2)):
         lhs: dict = {}
         jk = terms.get(((2, j), (2, k)), ())
         for l, cij in terms.get(((2, i), (2, j)), ()):

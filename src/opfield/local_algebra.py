@@ -196,41 +196,53 @@ def from_table(fs: FieldSpec, dim: int, grades, table: dict) -> LocalAlgebra:
         if i == 0:
             raise AlgebraError("NOT_LOCAL", witness=(p, q), detail="product has a unit component")
 
-    # associativity: (e_p e_q) e_r == e_p (e_q e_r), over the indices that
-    # have a nonzero product. At a triple holding any other index both sides
-    # are 0: e_p e_q = 0 when p or q has no product, e_q e_r = 0 when q or r
-    # has none, and a product is a sum of e_i with i >= 1 (checked above), so
-    # it times such an index is 0 too (`rows` is symmetric). So the first
-    # failing triple in (p, q, r) order is the first one visited here.
+    # associativity: (e_p e_q) e_r == e_p (e_q e_r). The left side is 0
+    # unless some e_i of e_p e_q has a product with e_r, the right side unless
+    # some e_j of e_q e_r has one with e_p (`rows` is symmetric). So only
+    # those triples can fail, and visiting them in ascending order finds the
+    # witness of the loop over all m^3 triples.
     rows = alg.rows
-    factors = sorted({p for p, _ in rows})
-    for p in factors:
-        for q in factors:
-            pq = rows.get((p, q), _NO_ROW)
-            for r in factors:
-                qr = rows.get((q, r), _NO_ROW)
-                if (pq or qr) and _times_basis(alg, pq, r) != _times_basis(alg, qr, p):
-                    raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
+    partners: dict = {}
+    for p, q in rows:
+        partners.setdefault(p, []).append(q)
+    triples = set()
+    for (p, q), row in rows.items():
+        for i in row:
+            for r in partners.get(i, ()):
+                triples.update(((p, q, r), (r, p, q)))
+    for p, q, r in sorted(triples):
+        pq, qr = rows.get((p, q), _NO_ROW), rows.get((q, r), _NO_ROW)
+        if _times_basis(alg, pq, r) != _times_basis(alg, qr, p):
+            raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
 
-    # nilpotency of the maximal-ideal span, computed from the table alone
-    filtration = _ideal_filtration(alg, factors)
-    if filtration[-1]:
-        raise AlgebraError("NOT_LOCAL", detail=f"span of e_1..e_{m} is not nilpotent")
+    # ranked-basis vanishing condition, first violation in (p, q, i) order.
+    # It is reported only if the span of e_1..e_m is nilpotent, as that
+    # failure comes first; passing it makes the span nilpotent (below).
+    bad = next(((i, p, q) for (p, q, i, _) in alg.table if alg.sigma(p) + alg.sigma(q) > alg.sigma(i)), None)
+    if bad:
+        if _ideal_filtration(alg, sorted(partners))[-1]:
+            raise AlgebraError("NOT_LOCAL", detail=f"span of e_1..e_{m} is not nilpotent")
+        raise AlgebraError("RANK_FAIL", witness=bad)
 
-    # ranked-basis vanishing condition, first violation in (p, q, i) order
-    for (p, q, i, _) in alg.table:
-        if alg.sigma(p) + alg.sigma(q) > alg.sigma(i):
-            raise AlgebraError("RANK_FAIL", witness=(i, p, q))
-
-    # declared grades must reproduce the computed filtration. Passing RANK_FAIL
-    # puts m^j inside F_j, the span of the e_p of grade >= j: a product of j
-    # basis vectors lands on grades summing to at least j. So m^j = F_j exactly
-    # when their dimensions agree, and dim F_j counts the grades >= j (they
-    # are sorted). Passing at j = d + 1 leaves m^{d+1} = 0 and passing at j = d
-    # leaves m^d = F_d != 0, so d is the nilpotency degree. A grade above that
-    # degree fails by the first zero power, where the filtration list ends.
-    for j in range(1, alg.d + 2):
-        if len(filtration[j - 1]) != m - bisect_left(grades, j):
+    # declared grades must reproduce the ideal powers. Passing RANK_FAIL puts
+    # m^j inside F_j, the span of the e_p of grade >= j: a product of j basis
+    # vectors lands on grades summing to at least j. So m is nilpotent, and
+    # m^j = F_j exactly when dim m^j is the number of grades >= j (they are
+    # sorted). If m^{j-1} = F_{j-1}, then m^j = m F_{j-1} is spanned by the
+    # rows e_p e_q, p <= q, with grade(q) >= j - 1; fed to one elimination by
+    # descending grade of q, they give that rank for every j, and up to the
+    # first mismatch it is dim m^j. Passing at j = d + 1 and at j = d makes d
+    # the nilpotency degree. As m^{m+1} = 0, a grade above m fails by j = m + 1.
+    top = min(alg.d, m)
+    by_grade: dict = {}
+    for (p, q), row in rows.items():
+        if p <= q:
+            by_grade.setdefault(min(alg.sigma(q), top), []).append(row)
+    basis, rank = {}, {}
+    for g in range(top, 0, -1):
+        rank[g] = len(_echelon(basis, by_grade.get(g, ())))
+    for j in range(2, top + 2):
+        if rank[j - 1] != m - bisect_left(grades, j):
             raise AlgebraError(
                 "RANK_FAIL",
                 witness=("grade-filtration", j),
@@ -268,10 +280,10 @@ def _times_basis(alg: LocalAlgebra, vec: dict, r: int) -> dict:
     return out
 
 
-def _span(vectors) -> list:
-    """A basis of the span of sparse vectors {i: c}, in echelon form: each
-    member is 0 at the least index (pivot) of every member before it."""
-    basis: dict = {}  # pivot -> member
+def _echelon(basis: dict, vectors) -> dict:
+    """Extend `basis`, {pivot: member} in echelon form (each member is 0 at
+    the least index, its pivot, of every member before it), by sparse vectors
+    {i: c} so that it spans them too; returns `basis`."""
     for vec in vectors:
         vec = dict(vec)
         for col in sorted(basis):
@@ -279,7 +291,7 @@ def _span(vectors) -> list:
                 accumulate(vec, -vec[col] / basis[col][col], basis[col].items())
         if vec:
             basis[min(vec)] = vec
-    return list(basis.values())
+    return basis
 
 
 def _ideal_filtration(alg: LocalAlgebra, factors) -> list:
@@ -288,8 +300,8 @@ def _ideal_filtration(alg: LocalAlgebra, factors) -> list:
     nonzero product; a product by any other e_q is 0."""
     powers = [[{p: alg.field.one} for p in range(1, alg.m + 1)]]
     for _ in range(alg.m):
-        powers.append(_span(prod for vec in powers[-1] for q in factors
-                            if (prod := _times_basis(alg, vec, q))))
+        powers.append(list(_echelon({}, (prod for vec in powers[-1] for q in factors
+                                         if (prod := _times_basis(alg, vec, q)))).values()))
         if not powers[-1]:
             break
     return powers

@@ -1,5 +1,6 @@
 """Shared mathematical fixtures and schema validation for the suite."""
 
+import itertools
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -7,10 +8,11 @@ from pathlib import Path
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from opfield import local_algebra
 from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
 from opfield.indices import hs_count, op_key, tri_key
-from opfield.local_algebra import derivation_algebra, truncation_algebra
+from opfield.local_algebra import AlgebraError, LocalAlgebra, derivation_algebra, truncation_algebra
 from opfield.scalars import FieldSpec
 
 SCHEMAS = {
@@ -91,6 +93,41 @@ def identity_breaking_perturbations():
         {},
     )
     return out
+
+
+def reference_from_table(fs, dim, grades, table):
+    """The checks of `local_algebra.from_table` the dense way, for a table of
+    valid shape: associativity at every (p, q, r) over the indices with a
+    nonzero product, then the whole filtration of the maximal ideal, its
+    nilpotency, the ranked-basis scan and every grade against its power.
+    Returns None or raises AlgebraError as `from_table` does."""
+    m = dim - 1
+    nonzero = {}
+    for (p, q, i), c in table.items():
+        if table.get((q, p, i), c) != c:
+            raise AlgebraError("COMM_FAIL", witness=(i, p, q))
+        if c:
+            nonzero[(min(p, q), max(p, q), i)] = c
+    alg = LocalAlgebra(fs, m, grades, [(p, q, i, c) for (p, q, i), c in sorted(nonzero.items())],
+                       grades[-1] if m else 0)
+    for (p, q, i, _) in alg.table:
+        if i == 0:
+            raise AlgebraError("NOT_LOCAL", witness=(p, q))
+    rows, no_row = alg.rows, {}
+    factors = sorted({p for p, _ in rows})
+    for p, q, r in itertools.product(factors, repeat=3):
+        pq, qr = rows.get((p, q), no_row), rows.get((q, r), no_row)
+        if local_algebra._times_basis(alg, pq, r) != local_algebra._times_basis(alg, qr, p):
+            raise AlgebraError("ASSOC_FAIL", witness=(p, q, r))
+    filtration = local_algebra._ideal_filtration(alg, factors)
+    if filtration[-1]:
+        raise AlgebraError("NOT_LOCAL")
+    for (p, q, i, _) in alg.table:
+        if alg.sigma(p) + alg.sigma(q) > alg.sigma(i):
+            raise AlgebraError("RANK_FAIL", witness=(i, p, q))
+    for j in range(1, alg.d + 2):
+        if len(filtration[j - 1]) != sum(g >= j for g in grades):
+            raise AlgebraError("RANK_FAIL", witness=("grade-filtration", j))
 
 
 def constant_field(gamma, gens=()):

@@ -42,3 +42,23 @@ def test_traced_prolong_counts_routes_and_one_calculus(tmp_path, capsys):
     assert metrics["kernels.routes_checked"][0] == 3  # read from Kernel.claim_routes_checked
     assert metrics["free_module.instances"][0] == 1
     assert metrics["groebner.buchberger_calls"][0] > 0
+
+
+def test_traced_validator_calls_record_their_spans(tmp_path, capsys):
+    # an in-process `algebra tensor` and `gamma check --assoc` must land in the
+    # spans the benchmark reads, so a rename cannot leave them empty
+    tracer = load_tracer()
+    run = tracer.Tracer()
+    run.install()
+    try:
+        algebra = str(FIXTURES / "algebra_truncation3.json")
+        assert main(["algebra", "tensor", algebra, algebra, "-o", str(tmp_path / "t.json")]) == 0
+        assert main(["gamma", "check", str(FIXTURES / "gamma_iterative_2_2.json"), "--assoc"]) == 0
+    finally:
+        run.remove()
+    calls = [name for name, *_rest, outer in run.spans if outer]
+    assert calls.count("local_algebra.tensor") == 1
+    assert calls.count("commutation.assoc") == 1
+    metrics = run.metrics()
+    assert metrics["local_algebra.tensor_s"][0] > 0
+    assert metrics["commutation.assoc_s"][0] > 0

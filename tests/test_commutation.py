@@ -599,3 +599,40 @@ def test_hs_tensor_reduce_three_iterative_2_2():
     assert alg == tensor(tensor(g.d2, g.d2), g.d2)
     assert len(coeffs) == 602
     assert list(coeffs) == sorted(coeffs)
+
+
+def _single_perturbations(system, values):
+    """`system` with each entry c_l^{ij} of its one nonzero family set to
+    each value in turn, a Lie entry with its mirror c_l^{ji} negated."""
+    lie = bool(system.lie)
+    table, m = (system.lie, system.m1) if lie else (system.hs, system.m2)
+    for i, j, l in itertools.product(range(1, m + 1), repeat=3):
+        for v in values:
+            new = dict(table)
+            new[(i, j, l)] = v
+            if lie:
+                new[(j, i, l)] = f"-({v})"
+            yield GammaSystem(system.d1, system.d2, new if lie else {}, {} if lie else new, system.fieldspec)
+
+
+def test_identity_checkers_match_the_loops_over_every_tuple():
+    # every single-entry perturbation of the iterative (2,2) and (3,1)
+    # systems and of a Lie table over Q(t) with non-constant coefficients:
+    # the same verdict as the loops over all (i, j, k, r), and with no field
+    # the same SpecError on a non-constant coefficient
+    spec = FieldSpec(char=0, gens=("t",))
+    lie = GammaSystem(derivation_algebra(3), None, {(1, 2, 3): "t", (2, 1, 3): "-t", (1, 3, 1): "1", (3, 1, 1): "-1"},
+                      {}, spec)
+    cases = [(g, None, check_associative, dense_associative)
+             for base, values in ((iterative_hs_coeffs(2, 2), ("0", "1")), (iterative_hs_coeffs(3, 1), ("0", "1", "2")))
+             for g in _single_perturbations(base, values)]
+    for g in _single_perturbations(lie, ("0", "1", "t", "t^2")):
+        field = DField(spec, g, {(1, 1): {"t": "1"}, (1, 2): {"t": "t"}, (1, 3): {"t": "t^2"}}, check=False)
+        cases += [(g, field, check_jacobi, dense_jacobi), (g, None, check_jacobi, dense_jacobi)]
+    outcomes = set()
+    for gamma, field, check, dense in cases:
+        got = _verdict_or_error(check, gamma, field)
+        assert got == _verdict_or_error(dense, gamma, field), (gamma.lie, gamma.hs, field)
+        outcomes.add(got if isinstance(got, tuple) else got.code)
+    assert outcomes == {"", "ASSOC_IDENTITY", "JACOBI_SKEW", "JACOBI_IDENTITY",
+                        ("SpecError", "non-constant coefficients need an operator field")}

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opfield
+from helpers import reference_from_table
+from opfield import local_algebra
 from opfield.local_algebra import (
     AlgebraError,
     DVector,
@@ -447,3 +449,110 @@ def test_mul_matches_dense_product(spec, data):
     a = [alg.field.coerce(x) for x in data.draw(coords)]
     b = [alg.field.coerce(x) for x in data.draw(coords)]
     assert list((alg.vector(a) * alg.vector(b)).coords) == dense_product(alg, a, b)
+
+
+# ---------------------------------------------------------------------------
+# differential test: `from_table` against the dense checks of
+# `helpers.reference_from_table`, every product triple and every ideal power
+# ---------------------------------------------------------------------------
+
+def random_table(rng, char):
+    """(fs, dim, grades, table) of valid shape in char `char`: drawn at random,
+    or a truncation, derivation or two-factor tensor algebra with its basis
+    rescaled, then at most one constant set, one mirror entry added or the
+    grades changed."""
+    fs = FieldSpec(char=char)
+    units = [v for v in (1, 2, 3, -1, -2) if not char or v % char]
+    if rng.random() < 0.3:
+        m = rng.randint(1, 5)
+        grades = sorted(rng.randint(1, 3) for _ in range(m))
+        table = {}
+        for _ in range(rng.randint(0, 6)):
+            p, q = sorted(rng.randint(1, m) for _ in range(2))
+            i = rng.randint(0, m) if rng.random() < 0.1 else rng.randint(1, m)
+            table[(p, q, i)] = fs.coerce(rng.randint(-2, 2))
+        return fs, m + 1, grades, table
+    small = [lambda: truncation_algebra(rng.randint(2, 5), char), lambda: derivation_algebra(rng.randint(1, 3), char)]
+    a = rng.choice(small)()
+    if rng.random() < 0.4:
+        b = rng.choice(small)()
+        if a.dim * b.dim <= 16:
+            a = tensor(a, b)
+    m, grades = a.m, list(a.grades)
+    scale = [None] + [fs.coerce(rng.choice(units)) for _ in range(m)]
+    table = {(p, q, i): scale[p] * scale[q] / scale[i] * c for p, q, i, c in a.table}
+    how = rng.choice(("none", "set", "set", "mirror", "regrade"))
+    if how == "set" and m:
+        p, q = sorted(rng.randint(1, m) for _ in range(2))
+        table[(p, q, rng.randint(0, m))] = fs.coerce(rng.choice((0, 1, -1, 2)))
+    elif how == "mirror" and table:
+        p, q, i = rng.choice(sorted(table))
+        table[(q, p, i)] = table[(p, q, i)] + fs.coerce(rng.choice((0, 1)))
+    elif how == "regrade" and m:
+        k, step = rng.randint(0, m - 1), rng.choice((1, 1, -1, rng.randint(2, m + 2)))
+        grades = grades[:k] + [max(1, g + step) for g in grades[k:]]
+        if step < 0:
+            grades = sorted(grades)
+    return fs, m + 1, grades, table
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except AlgebraError as e:
+        return e.code, e.witness
+    return "PASS"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), char=st.sampled_from((0, 2, 3, 5)))
+def test_from_table_matches_the_dense_checks(rng, char):
+    table = random_table(rng, char)
+    assert _verdict(from_table, *table) == _verdict(reference_from_table, *table)
+
+
+def test_from_table_differential_reaches_every_failure():
+    # the same tables, seeded, reach every code the checks can give
+    rng, seen = random.Random(3100), set()
+    for n in range(1200):
+        table = random_table(rng, (0, 2, 3, 5)[n % 4])
+        got = _verdict(from_table, *table)
+        assert got == _verdict(reference_from_table, *table), table
+        grade_filtration = got != "PASS" and got[0] == "RANK_FAIL" and got[1][0] == "grade-filtration"
+        seen.add(got if got == "PASS" or grade_filtration else (got[0], got[1] is None))
+    assert seen >= {"PASS", ("COMM_FAIL", False), ("NOT_LOCAL", False), ("NOT_LOCAL", True),
+                    ("ASSOC_FAIL", False), ("RANK_FAIL", False),
+                    ("RANK_FAIL", ("grade-filtration", 2)), ("RANK_FAIL", ("grade-filtration", 3))}
+
+
+def test_idempotent_fails_nilpotency_before_rank():
+    # e_1 e_1 = e_1 with grade 1 breaks both the ranked basis (1 + 1 > 1) and
+    # nilpotency; NOT_LOCAL comes first
+    table = (FieldSpec(0), 2, [1], {(1, 1, 1): Fraction(1)})
+    want = ("NOT_LOCAL", None)
+    assert _verdict(from_table, *table) == _verdict(reference_from_table, *table) == want
+
+
+def test_from_table_work_grows_with_the_nonzero_products(monkeypatch):
+    # associativity on trunc5 (x) trunc3 compares 124 triples with a nonzero
+    # side, two products each; the loop over every triple of factors made 2354
+    # calls. A passing table never builds the ideal powers
+    a, b = truncation_algebra(5), truncation_algebra(3)
+    calls = []
+    times_basis = local_algebra._times_basis
+    monkeypatch.setattr(local_algebra, "_times_basis", lambda *args: calls.append(1) or times_basis(*args))
+
+    def no_filtration(*args):
+        raise AssertionError("a passing table built the ideal powers")
+
+    monkeypatch.setattr(local_algebra, "_ideal_filtration", no_filtration)
+    assert tensor(a, b).dim == 15
+    assert len(calls) <= 248
+    for alg in (derivation_algebra(4), truncation_algebra(6, 2), tensor(a, derivation_algebra(2))):
+        assert from_table(alg.field, alg.dim, alg.grades, {(p, q, i): c for p, q, i, c in alg.table}) == alg
+    # the grade check eliminates once per grade up to m, not up to the largest
+    echelon, passes = local_algebra._echelon, []
+    monkeypatch.setattr(local_algebra, "_echelon", lambda *args: passes.append(1) or echelon(*args))
+    with pytest.raises(AlgebraError, match="grade-filtration"):
+        from_table(FieldSpec(0), 3, [1, 1000000], {})
+    assert len(passes) == 2
