@@ -6,6 +6,7 @@ transcendental adjoints."""
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 
 from .commutation import GammaSystem
 from .free_module import FreeCalculus
@@ -79,7 +80,7 @@ class DField:
         return self.gamma.ops
 
     def gen(self, name: str) -> Frac:
-        return Frac(self.ring.var(name), self.ring.one, normalize=False)
+        return Frac.of(self.ring.var(name), self.ring)
 
     def scalar(self, x):
         """x as a value of the field: the one coercion, to `gamma.domain`."""
@@ -121,10 +122,9 @@ class DField:
         ring over this field."""
         alg = self.gamma.algebra(u)
 
+        @cache  # a polynomial's coefficients recur: embed each once
         def embed(c):
-            return DVector(
-                alg, tuple(Frac(ring.const(x), ring.one, normalize=False) for x in self.e(u, c).coords)
-            )
+            return DVector(alg, tuple(Frac.of(ring.const(x), ring) for x in self.e(u, c).coords))
 
         return embed
 
@@ -215,16 +215,9 @@ def solve_by_grade(field: DField, f: Poly, idx: int, fprime: Frac, images=None,
     out: dict = {}
     for u in sorted(field.gamma.families):
         alg = field.gamma.algebra(u)
-        embed = field.e_into(u, ring)
-        embedded: dict = {}  # f's coefficients recur in every residual: embed each once
-
-        def coeff(c):
-            if c not in embedded:
-                embedded[c] = embed(c)
-            return embedded[c]
-
+        coeff = field.e_into(u, ring)
         values = images[u] if images else {}
-        coords = [Frac(ring.var(idx), ring.one, normalize=False)] + [zero] * alg.m
+        coords = [Frac.of(ring.var(idx), ring)] + [zero] * alg.m
 
         def residual() -> DVector:
             values[idx] = DVector(alg, tuple(coords))

@@ -8,13 +8,14 @@ variables, single-digit degrees). A degree cap, configurable through the
 WORKBENCH_GB_DEGREE_CAP environment variable, aborts runaway computations
 with a clean error.
 
-Every basis is in one order, `LEX`: lex with later variables biggest. It
-eliminates later variables first: for every k, the basis elements in
-x_0..x_k are a basis of the ideal's intersection with K[x_0..x_k]. Kernel
-jets are indexed level by level, so the one basis an `Ideal` caches is the
-one leader detection reads and every membership test reduces against. A
-prolongation that clears no denominator builds its basis by appending its
-new relations, reduced, to the previous level's (`extend_reduced_basis`).
+Every basis is in the order of `Poly.lead`, lex with later variables
+biggest (`lex_key`). It eliminates later variables first: for every k, the
+basis elements in x_0..x_k are a basis of the ideal's intersection with
+K[x_0..x_k]. Kernel jets are indexed level by level, so the one basis an
+`Ideal` caches is the one leader detection reads and every membership test
+reduces against. A prolongation that clears no denominator builds its
+basis by appending its new relations, reduced, to the previous level's
+(`extend_reduced_basis`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import heapq
 import os
 
-from .polynomials import LEX, Poly, PolyRing
+from .polynomials import Poly, PolyRing, lex_key
 from .scalars import SpecError
 
 DEFAULT_DEGREE_CAP = 12
@@ -66,11 +67,11 @@ def normal_form_list(f: Poly, basis: list[Poly]) -> Poly:
     if not basis:
         return f
     ring = f.ring
-    leads = [g.lead(LEX) for g in basis]
+    leads = [g.lead() for g in basis]
     rem_terms: dict = {}
     work = f
     while work:
-        e, c = work.lead(LEX)
+        e, c = work.lead()
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
                 q = tuple(a - b for a, b in zip(e, ge))
@@ -83,8 +84,8 @@ def normal_form_list(f: Poly, basis: list[Poly]) -> Poly:
 
 
 def s_poly(f: Poly, g: Poly) -> Poly:
-    fe, fc = f.lead(LEX)
-    ge, gc = g.lead(LEX)
+    fe, fc = f.lead()
+    ge, gc = g.lead()
     l = _lcm(fe, ge)
     mf = Poly(f.ring, {tuple(a - b for a, b in zip(l, fe)): f.ring.domain.one / fc})
     mg = Poly(f.ring, {tuple(a - b for a, b in zip(l, ge)): f.ring.domain.one / gc})
@@ -103,11 +104,11 @@ def buchberger(gens) -> tuple[Poly, ...]:
     processed: set[tuple[int, int]] = set()  # the pairs popped so far
 
     def add(g: Poly) -> None:
-        i, lm = len(basis), g.lm(LEX)
+        i, lm = len(basis), g.lm()
         for j, lj in enumerate(lms):
             if not _coprime(lm, lj):
                 l = _lcm(lm, lj)
-                heapq.heappush(pairs, (LEX.key(l), i, j, l))
+                heapq.heappush(pairs, (lex_key(l), i, j, l))
         basis.append(g)
         lms.append(lm)
 
@@ -117,7 +118,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
         return (max(a, b), min(a, b)) in processed or _coprime(lms[a], lms[b])
 
     # deterministic start ordering; `_reduce_basis` drops repeats
-    for g in sorted((g.monic(LEX) for g in gens if g), key=lambda g: LEX.key(g.lm(LEX))):
+    for g in sorted((g.monic() for g in gens if g), key=lambda g: lex_key(g.lm())):
         add(g)
 
     while pairs:
@@ -132,7 +133,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
         if r:
             if r.total_degree() > cap:
                 raise DegreeCapExceeded(r.total_degree(), cap)
-            add(r.monic(LEX))
+            add(r.monic())
     return _reduce_basis(basis)
 
 
@@ -146,8 +147,8 @@ def _reduce_basis(basis: list[Poly]) -> tuple[Poly, ...]:
     below this element's lead, and a repeated lead is dropped."""
     kept: list[Poly] = []
     leads: list[tuple] = []
-    for g in sorted(basis, key=lambda g: LEX.key(g.lm(LEX))):
-        lm = g.lm(LEX)
+    for g in sorted(basis, key=lambda g: lex_key(g.lm())):
+        lm = g.lm()
         if not any(_divides(h, lm) for h in leads):
             kept.append(normal_form_list(g, kept))
             leads.append(lm)
@@ -166,7 +167,7 @@ def extend_reduced_basis(basis, rels) -> tuple[Poly, ...]:
     every lead."""
     kept = list(basis)
     for g in rels:
-        r = normal_form_list(g.monic(LEX), kept)
+        r = normal_form_list(g.monic(), kept)
         if r:
             kept.append(r)
     return tuple(kept)

@@ -113,12 +113,11 @@ class Kernel:
 
     # -- presentation ---------------------------------------------------------
     def jet_var(self, t: int, word: Word) -> Frac:
-        idx = self.position[(tuple(word), t)]
-        return Frac(self.ring.var(idx), self.ring.one, normalize=False)
+        return Frac.of(self.ring.var(self.position[(tuple(word), t)]), self.ring)
 
     def lift_coeff(self, c) -> Frac:
         """Base-field element as a kernel-ring constant."""
-        return Frac(self.ring.const(c), self.ring.one, normalize=False)
+        return Frac.of(self.ring.const(c), self.ring)
 
     def subst_free(self, t: int, vec) -> Frac:
         """Evaluate a free-module vector at the t-th jet family."""
@@ -192,7 +191,7 @@ class Kernel:
         (see `leaders`), so these elements are a prefix of the basis."""
         count = sum(len(w) <= order_bound for w, _ in self.jets)
         basis = self.ideal.groebner()
-        return list(takewhile(lambda g: max(g.variables(), default=-1) < count, basis))
+        return list(takewhile(lambda g: g.top_variable() < count, basis))
 
     def validate(self):
         """The operator action must send relations among lower jets into the ideal."""
@@ -232,9 +231,8 @@ class Kernel:
         if self._leader_report is not None:
             return self._leader_report
         witnesses: dict[int, Poly] = {}
-        for g in self.ideal.groebner():
-            if not g.is_const():
-                witnesses.setdefault(max(g.variables()), g)
+        for g in self.ideal.groebner():  # a constant's -1 is no jet
+            witnesses.setdefault(g.top_variable(), g)
         entries = []
         for idx, (word, t) in enumerate(self.jets):
             g = witnesses.get(idx)
@@ -246,16 +244,6 @@ class Kernel:
         separable = all(len(w) < self.r for (w, t) in insep)
         self._leader_report = LeaderReport(entries, minimal, insep, separable)
         return self._leader_report
-
-    def _leading_v_coeff(self, g: Poly, v: int) -> Poly:
-        d = g.degree_in(v)
-        terms = {}
-        for e, c in g.terms.items():
-            if e[v] == d:
-                ne = list(e)
-                ne[v] = 0
-                terms[tuple(ne)] = c
-        return Poly(self.ring, terms)
 
     # -- prolongation -----------------------------------------------------------
     def prolong(self) -> "Kernel":
@@ -376,7 +364,7 @@ class Kernel:
                 continue
             idx = self.position[(info.word, info.t)]
             for label, poly in (
-                ("leading-coefficient", self._leading_v_coeff(info.witness, idx)),
+                ("leading-coefficient", info.witness.leading_coeff_in(idx)),
                 ("separant", info.witness.deriv(idx)),
             ):
                 if poly and self.ideal.in_radical(poly):

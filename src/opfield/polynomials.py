@@ -24,25 +24,16 @@ from .scalars import Fp, FieldSpec, SpecError
 # monomial orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrevLex:
+def lex_key(exp: tuple[int, ...]):
+    """Lexicographic order with later variables biggest: every lead and every
+    Gröbner basis's order."""
+    return exp[::-1]
+
+
+def grevlex_key(exp: tuple[int, ...]):
     """Graded reverse lexicographic order: the print order, and the one whose
-    leading coefficient scales a fraction's denominator."""
-
-    def key(self, exp: tuple[int, ...]):
-        return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-@dataclass(frozen=True)
-class Lex:
-    """Lexicographic order with later variables biggest: every Gröbner basis's."""
-
-    def key(self, exp: tuple[int, ...]):
-        return exp[::-1]
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
+    leading coefficient fixes a fraction's scale (`_rescale`)."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +69,7 @@ class FracDomain:
         if isinstance(x, str):
             x = parse_frac(self.base, x)
         if isinstance(x, Poly):
-            x = Frac(x, x.ring.one)
+            x = Frac.of(x, x.ring)
         if isinstance(x, Frac):
             ring = x.ring
             if ring is not self.base and ring != self.base:
@@ -87,7 +78,7 @@ class FracDomain:
                 x = Frac(self.base.lift(x.num), self.base.lift(x.den))
             return x if self.base.names else x.num.const_value() / x.den.const_value()
         x = self.base.domain.coerce(x)
-        return Frac(self.base.const(x), self.base.one) if self.base.names else x
+        return Frac.of(x, self.base) if self.base.names else x
 
     def is_element(self, x):
         return isinstance(x, (Frac, Poly, Fraction, Fp, int))
@@ -324,21 +315,36 @@ class Poly:
             return self.ring.zero
         return Poly(self.ring, {e: cc * c for e, cc in self.terms.items()})
 
-    # -- leading data -------------------------------------------------------
-    def lead(self, order=GREVLEX):
-        e = max(self.terms, key=order.key)
+    # -- leading data (lex, `lex_key`) -------------------------------------
+    def lead(self):
+        e = max(self.terms, key=lex_key)
         return e, self.terms[e]
 
-    def lm(self, order=GREVLEX):
-        return self.lead(order)[0]
+    def lm(self):
+        return self.lead()[0]
 
-    def lc(self, order=GREVLEX):
-        return self.lead(order)[1]
+    def lc(self):
+        return self.lead()[1]
 
-    def monic(self, order=GREVLEX) -> "Poly":
+    def top_variable(self) -> int:
+        """The biggest variable that occurs, -1 for a constant. A term holding
+        it beats every term without it, so the lead holds it."""
+        e = self.lm() if self.terms else ()
+        i = len(e) - 1
+        while i >= 0 and not e[i]:
+            i -= 1
+        return i
+
+    def leading_coeff_in(self, i: int) -> "Poly":
+        """The coefficient of x_i^d, d the degree in x_i, as a polynomial in
+        the other variables."""
+        d = self.degree_in(i)
+        return Poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c for e, c in self.terms.items() if e[i] == d})
+
+    def monic(self) -> "Poly":
         if not self.terms:
             return self
-        c = self.lc(order)
+        c = self.lc()
         one = self.ring.domain.one
         if c == one:
             return self
@@ -383,16 +389,16 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
     """f / g when the division is exact, else None.
 
     {g} is a Gröbner basis of (g) in every order, so neither the quotient nor
-    the None verdict depends on the order; the leads are read in LEX."""
+    the None verdict depends on the order the leads are read in."""
     if not g:
         raise ZeroDivisionError("exact_div by zero")
     if not f:
         return f.ring.zero
     quo: dict = {}
     rem = f
-    ge, gc = g.lead(LEX)
+    ge, gc = g.lead()
     while rem:
-        e, c = rem.lead(LEX)
+        e, c = rem.lead()
         if any(a < b for a, b in zip(e, ge)):
             return None
         q = tuple(a - b for a, b in zip(e, ge))
@@ -415,10 +421,10 @@ class Frac:
     Over Q the content scaling makes a denominator-one fraction's
     coefficients, and a normalized denominator's, integers, and integer sums
     and products stay integer; over F_p and a `FracDomain` the denominator
-    need only be monic. So every `Frac` over `ring.one` must be normalized:
-    each `normalize=False` site passing `ring.one` builds a variable, a
-    constant over a `FracDomain`, or the negation or power of a normalized
-    fraction. Keep it that way.
+    need only be monic. So every `Frac` over `ring.one` must be normalized,
+    and only this module decides that a pair is: each `normalize=False` site
+    builds the negation, power, sum or product of normalized fractions, a
+    rescaled pair, or a polynomial over one that `Frac.of` found normal.
 
     In a one-variable ring every normalized fraction is in lowest terms, so
     `+ - * /` there follow Henrici's rule (Knuth, TAOCP Vol. 2, §4.5.1): in
@@ -454,13 +460,19 @@ class Frac:
 
     @staticmethod
     def of(x, ring: PolyRing) -> "Frac":
-        if isinstance(x, Frac):
+        """x, a `Frac` or `Poly` over `ring` or a scalar, as a fraction over
+        `ring`. A polynomial p is normalized only when (p, one) is not normal
+        already: over Q when a coefficient is no integer, elsewhere never."""
+        if isinstance(x, (Frac, Poly)):
             if x.ring != ring:
                 raise SpecError("fraction from a different ring")
-            return x
-        if isinstance(x, Poly):
-            return Frac(x, x.ring.one)
-        return Frac(ring.const(x), ring.one)
+            if isinstance(x, Frac):
+                return x
+        else:
+            x = ring.const(x)
+        dom = ring.domain
+        rational = isinstance(dom, FieldSpec) and dom.char == 0
+        return Frac(x, ring.one, normalize=rational and any(c.denominator != 1 for c in x.terms.values()))
 
     def _coerce(self, other):
         return Frac.of(other, self.ring) if isinstance(other, (Frac, Poly, int, Fraction, Fp)) else None
@@ -632,9 +644,10 @@ def _normalize_general(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """The scalar multiple of num/den that normalization keeps, num != 0: a
-    constant den becomes one, then over Q den's sign and the contents' gcd
-    are fixed, elsewhere den is made monic. Every scalar multiple of a pair
-    goes to the same pair, so a univariate fraction in lowest terms is unique."""
+    constant den becomes one, then den's leading coefficient in grevlex, the
+    print order, is made positive over Q, with the contents' gcd fixed, and
+    one elsewhere. Every scalar multiple of a pair goes to the same pair, so
+    a univariate fraction in lowest terms is unique."""
     ring = num.ring
     dom = ring.domain
     if den.is_const():
@@ -642,16 +655,16 @@ def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             c = den.const_value()
             num = Poly(ring, {e: v / c for e, v in num.terms.items()})
         den = ring.one
+    lc = den.terms[max(den.terms, key=grevlex_key)]
     if isinstance(dom, FieldSpec) and dom.char == 0:
         # one over the content of num and den together: the gcd of their
         # numerators over the lcm of their denominators
         cs = (*num.terms.values(), *den.terms.values())
         scale = Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
-        if den.lc() < 0:
+        if lc < 0:
             scale = -scale
         return (num, den) if scale == 1 else (num.scale(scale), den.scale(scale))
     # prime field or fraction coefficients: monic denominator
-    lc = den.lc()
     one = dom.one
     if lc == one:
         return num, den
@@ -731,7 +744,7 @@ def poly_str(p: Poly) -> str:
     # F_p prints its coefficients in 0..p-1, never as -1
     prime_field = over_field and dom.char > 0
     parts = []
-    for e in sorted(p.terms, key=GREVLEX.key, reverse=True):
+    for e in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[e]
         factors = []
         for i, d in enumerate(e):
@@ -850,11 +863,11 @@ def parse_frac(ring: PolyRing, text: str, resolve=None) -> Frac:
             return Frac(ring.const(val), ring.one)
         if kind == "name":
             if val in ring:
-                return Frac(ring.var(val), ring.one, normalize=False)
+                return Frac.of(ring.var(val), ring)
             if resolve is not None:
                 r = resolve(val)
                 if r is not None:
-                    return r if isinstance(r, Frac) else Frac(r, ring.one)
+                    return Frac.of(r, ring)
             raise ParseError(f"unknown name {val!r}", p0)
         if kind == "op" and val == "(":
             inner = parse_expr()

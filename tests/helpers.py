@@ -13,6 +13,7 @@ from opfield.commutation import GammaSystem, iterative_hs_coeffs
 from opfield.dfields import DField
 from opfield.indices import hs_count, op_key, tri_key
 from opfield.local_algebra import AlgebraError, LocalAlgebra, derivation_algebra, truncation_algebra
+from opfield.polynomials import Poly
 from opfield.scalars import FieldSpec
 
 SCHEMAS = {
@@ -128,6 +129,19 @@ def reference_from_table(fs, dim, grades, table):
     for j in range(1, alg.d + 2):
         if len(filtration[j - 1]) != sum(g >= j for g in grades):
             raise AlgebraError("RANK_FAIL", witness=("grade-filtration", j))
+
+
+def leading_v_coeff(g: Poly, v: int) -> Poly:
+    """The reference for `Poly.leading_coeff_in`: the coefficient of x_v^d,
+    d the degree of g in x_v, with each exponent rewritten entry by entry."""
+    d = g.degree_in(v)
+    terms = {}
+    for e, c in g.terms.items():
+        if e[v] == d:
+            ne = list(e)
+            ne[v] = 0
+            terms[tuple(ne)] = c
+    return Poly(g.ring, terms)
 
 
 def constant_field(gamma, gens=()):

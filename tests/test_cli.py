@@ -119,6 +119,23 @@ def test_algebra_without_dim_is_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == "PARSE_ERROR: algebra spec missing field 'dim'\n"
 
 
+@pytest.mark.parametrize(
+    "char, code",
+    [(2**61 - 1, 0), ((2**31 - 1) ** 2, 2), (2**64 + 13, 2)],
+    ids=["prime-2^61-1", "square-of-a-prime", "beyond-2^64"],
+)
+def test_large_characteristics_are_decided_at_once(char, code, tmp_path, capsys):
+    # trial division ran past 20 s on each of these
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"char": char, "dim": 1}))
+    start = time.perf_counter()
+    assert main(["algebra", "validate", str(path)]) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("2^64" in err) == (char >= 2**64)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verbose_note_goes_to_stderr_only(fmt, capsysbinary):
     argv = ["--format", fmt, "kernel", "realize", str(FIXTURES / "kernel_riccati.json"), "--r", "2", "--order", "6"]

@@ -10,7 +10,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from helpers import constant_field, trivial_derivation, two_derivations
+from helpers import constant_field, leading_v_coeff, trivial_derivation, two_derivations
 from test_kernels import _entry_texts, _seeded_kernel
 
 from opfield.commutation import GammaSystem
@@ -36,7 +36,7 @@ def reference_entries(kernel):
             candidates.sort(key=lambda g: g.degree_in(idx))
             chosen = None
             for g in candidates:
-                if not kernel.ideal.contains(kernel._leading_v_coeff(g, idx)):
+                if not kernel.ideal.contains(leading_v_coeff(g, idx)):
                     chosen = g
                     break
             if chosen is None:

@@ -4,6 +4,7 @@ from importlib.resources import files
 from math import gcd
 
 import pytest
+from helpers import leading_v_coeff
 from hypothesis import assume, example, given, settings, strategies as st
 
 from opfield import polynomials
@@ -13,8 +14,6 @@ from opfield.dfields import DField
 from opfield.kernels import Kernel
 from opfield.local_algebra import derivation_algebra
 from opfield.polynomials import (
-    GREVLEX,
-    LEX,
     Frac,
     FracDomain,
     ParseError,
@@ -24,11 +23,12 @@ from opfield.polynomials import (
     _normalize_general,
     _rescale,
     exact_div,
+    grevlex_key,
     parse_frac,
     parse_poly,
     poly_str,
 )
-from opfield.scalars import FieldSpec, Fp, SpecError
+from opfield.scalars import FieldSpec, Fp, SpecError, is_prime
 
 
 @pytest.fixture
@@ -58,9 +58,9 @@ def test_grevlex_vs_lex(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     p = x**3 + x * y
     # grevlex: degree 3 term wins
-    assert p.lm(GREVLEX) == (3, 0)
-    # lex with y > x: x*y wins
-    assert p.lm(LEX) == (1, 1)
+    assert max(p.terms, key=grevlex_key) == (3, 0)
+    # the lead is lex with y > x: x*y wins
+    assert p.lm() == (1, 1)
 
 
 def test_fp_polynomials():
@@ -92,10 +92,36 @@ def test_field_spec_validation():
     assert spec.coerce("3/2") == Fp(3, 5) / Fp(2, 5)
 
 
+def test_is_prime_matches_trial_division():
+    bound = 200_000
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(bound**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, bound, d)))
+    assert [n for n in range(bound) if is_prime(n)] == [n for n in range(bound) if sieve[n]]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
+def test_characteristics_stop_below_2_to_the_64():
+    assert FieldSpec(char=2**64 - 59).char == 2**64 - 59
+    for char in (2**64, 2**64 + 13):
+        with pytest.raises(SpecError, match=r"not below 2\^64"):
+            FieldSpec(char=char)
+
+
 def test_exact_div(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     assert exact_div(x * x - y * y, x - y) == x + y
     assert exact_div(x * x + 1, x) is None
+
+
+def _grevlex_lead(p: Poly):
+    e = max(p.terms, key=grevlex_key)
+    return e, p.terms[e]
 
 
 def _grevlex_exact_div(f: Poly, g: Poly) -> Poly | None:
@@ -104,9 +130,9 @@ def _grevlex_exact_div(f: Poly, g: Poly) -> Poly | None:
         return f.ring.zero
     quo: dict = {}
     rem = f
-    ge, gc = g.lead(GREVLEX)
+    ge, gc = _grevlex_lead(g)
     while rem:
-        e, c = rem.lead(GREVLEX)
+        e, c = _grevlex_lead(rem)
         if any(a < b for a, b in zip(e, ge)):
             return None
         q = tuple(a - b for a, b in zip(e, ge))
@@ -150,7 +176,7 @@ def test_frac_normalization(rxy):
     assert g.num == x and g.den == rxy.const(2)
     # denominator positive leading coefficient over Q
     h = Frac(x, -y)
-    assert h.den.lc() > 0
+    assert _grevlex_lead(h.den)[1] > 0
 
 
 def test_frac_arithmetic(rxy):
@@ -215,7 +241,7 @@ def _two_pass_rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num, den = num.scale(1 / den.const_value()), ring.one
     cn, cd = _rat_content(num), _rat_content(den)
     g = Fraction(gcd(cn.numerator, cd.numerator), (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
-    sign = -1 if den.lc() < 0 else 1
+    sign = -1 if _grevlex_lead(den)[1] < 0 else 1
     scale = 1 / (g * sign)
     return num.scale(scale), den.scale(scale)
 
@@ -529,7 +555,7 @@ def test_no_poly_holds_a_zero_coefficient(kind, p_terms, q_terms, scalar):
     for ours, ref in [(p * q, _ref_mul(p, q)), (p + q, _ref_add(p, q)), (p - q, _ref_sub(p, q))]:
         assert zero_free(ours).terms == ref.terms
     zero_free(p.scale(scalar))
-    zero_free(p.monic(LEX))
+    zero_free(p.monic())
     for i in (0, 1):
         assert zero_free(p.deriv(i)).terms == _ref_deriv(p, i)
     assert zero_free(PolyRing(("x", "y", "z"), dom).lift(p)).terms == {e + (0,): c for e, c in p.terms.items()}
@@ -844,3 +870,48 @@ def test_frac_domain_text_is_str_of_the_constant_frac(char):
     rt = PolyRing(("t",), FieldSpec(char))
     value = parse_frac(rt, "(t + 1)/(2*t)") if char != 2 else parse_frac(rt, "(t + 1)/t")
     assert FracDomain(rt).text(value) == str(value)
+
+
+# The lead data and the one wrapper of a polynomial over one, against the
+# exponent scans and the normalizing constructor they replace
+_LEAD_DOMAINS = {"q": FieldSpec(0), "f3": FieldSpec(3), "qt": FracDomain(PolyRing(("t",)))}
+
+
+@st.composite
+def lead_polys(draw):
+    """A polynomial in 1-4 variables over Q (fractional coefficients too),
+    F_3 or Q(t)."""
+    kind = draw(st.sampled_from(sorted(_LEAD_DOMAINS)))
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(("x", "y", "z", "w")[:nvars], _LEAD_DOMAINS[kind])
+    dom = ring.domain
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), NONZERO, st.integers(1, 6)), max_size=5))
+    if kind == "qt":
+        return Poly(ring, {e: _qt_coeff(dom.base, n, k) for e, n, k in terms})
+    return Poly(ring, {e: Fraction(n, k) if kind == "q" else dom.coerce(n) for e, n, k in terms})
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead_polys())
+def test_lead_data_matches_the_exponent_scans(p):
+    assert p.top_variable() == max(p.variables(), default=-1)
+    for v in range(p.ring.nvars):
+        ours, ref = p.leading_coeff_in(v), leading_v_coeff(p, v)
+        assert ours.ring == ref.ring and ours.terms == ref.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead_polys(), NONZERO, st.integers(1, 6))
+def test_frac_of_matches_the_normalizing_constructor(p, n, k):
+    ring = p.ring
+    c = n if ring.domain.char else Fraction(n, k)  # a scalar, over Q(t) too
+    for x, poly in ((p, p), (c, ring.const(c))):
+        ours, ref = Frac.of(x, ring), Frac(poly, ring.one)
+        assert (ours.num.terms, ours.den.terms) == (ref.num.terms, ref.den.terms)
+        assert [type(v) for v in ours.num.terms.values()] == [type(v) for v in ref.num.terms.values()]
+        assert str(ours) == str(ref)
+    wider = ring.extend(("u",))
+    recoefficiented = PolyRing(ring.names, FieldSpec(3 if ring.domain == FieldSpec(0) else 0))
+    for x, other in ((p, wider), (wider.lift(p), ring), (p, recoefficiented), (Frac.of(p, ring), wider)):
+        with pytest.raises(SpecError, match="fraction from a different ring"):
+            Frac.of(x, other)

@@ -60,6 +60,13 @@ def test_fixture_schema_valid(name, kind):
     validate_schema(json.loads((FIXTURES / name).read_text()), kind)
 
 
+@pytest.mark.parametrize("kind, spec", [("algebra", {"dim": 1}), ("dfield", {"gens": [], "action": {}})])
+def test_schemas_bound_the_characteristic_as_the_loader_does(kind, spec):
+    validate_schema(spec | {"char": 2**64 - 59}, kind)
+    with pytest.raises(ValidationError):
+        validate_schema(spec | {"char": 2**64}, kind)
+
+
 def _refs(node):
     if isinstance(node, dict):
         if "$ref" in node:
