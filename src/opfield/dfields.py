@@ -38,7 +38,7 @@ def ehom_frac(frac: Frac, var_images: dict, coeff_image) -> DVector:
     """Image of a fraction under the homomorphism sending variable i to
     var_images[i] and each coefficient c to coeff_image(c)."""
     image = frac.num.subst(var_images, coeff_image)
-    if frac.den == frac.ring.one:
+    if frac.den is frac.ring.one:
         return image
     return image * frac.den.subst(var_images, coeff_image).invert()
 
@@ -254,7 +254,7 @@ def extend_separable(field: DField, name: str, f: Poly) -> dict:
         raise NotSeparable(f"derivative of {f} vanishes at the root")
     # exactness: every coordinate of f^e(e(a)) must vanish in the quotient
     return solve_by_grade(
-        field, f, 0, Frac(fprime, aring.one),
+        field, f, 0, Frac.of(fprime, aring),
         reduce=lambda y: _reduce_mod(y, modulus),
         is_zero=lambda coord: not modulus.normal_form(coord.num),
     )

@@ -144,7 +144,7 @@ class Kernel:
             parsed = parse_jet_name(name)
             if parsed is None:
                 if name in self.field.ring:
-                    return Frac(self.ring.const(self.field.gen(name)), self.ring.one)
+                    return self.lift_coeff(self.field.gen(name))
                 return None
             t, word = parsed
             if not (1 <= t <= self.n):
@@ -199,7 +199,7 @@ class Kernel:
             return
         for g in self.lower_order_basis(self.r - 1):
             # one e_u per family: its coordinates are every d_(u, i) g
-            images = {u: self.e(u, Frac(g, self.ring.one)).coords for u in self.gamma.families}
+            images = {u: self.e(u, Frac.of(g, self.ring)).coords for u in self.gamma.families}
             for op in self.gamma.ops:
                 if self.ideal.normal_form(images[op[0]][op[1]].num):
                     raise KernelError(
@@ -300,7 +300,7 @@ class Kernel:
         images = {u: new._images(u) for u in sorted(self.gamma.families)} if leaders else {}
         solved: dict[tuple[Word, int], dict] = {}
         for idx, e in leaders:
-            fprime = Frac(ring.lift(e.witness.deriv(idx)), ring.one)
+            fprime = Frac.of(ring.lift(e.witness.deriv(idx)), ring)
             solved[(e.word, e.t)] = solve_by_grade(self.field, ring.lift(e.witness), idx, fprime, images)
 
         for (tau, t), per_op in solved.items():

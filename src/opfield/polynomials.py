@@ -107,7 +107,7 @@ class FracDomain:
 class PolyRing:
     """Polynomial ring with a fixed ordered list of variable names."""
 
-    __slots__ = ("names", "domain", "_index", "one")
+    __slots__ = ("names", "domain", "_index", "nvars", "one")
 
     def __init__(self, names, domain=None):
         self.names = tuple(names)
@@ -115,9 +115,10 @@ class PolyRing:
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
+        self.nvars = len(self.names)
         # one shared Poly: a product by it returns the other factor itself, so
         # nothing may ever write to the .terms of this or any other Poly
-        self.one = Poly(self, {(0,) * len(self.names): self.domain.one})
+        self.one = Poly(self, {(0,) * self.nvars: self.domain.one})
 
     def __eq__(self, other):
         return self is other or (
@@ -132,10 +133,6 @@ class PolyRing:
     def __repr__(self):
         dom = "Q" if self.domain == FieldSpec() else str(self.domain)
         return f"PolyRing({list(self.names)}, {dom})"
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
 
     @property
     def zero(self) -> "Poly":
@@ -190,7 +187,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
+            return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
         if isinstance(other, (int, Fraction, Fp)):
             return self == self.ring.const(other)
         return NotImplemented
@@ -224,7 +221,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise SpecError("polynomials from different rings")
             return other
         if self.ring.domain.is_element(other):
@@ -270,10 +267,10 @@ class Poly:
         # one returns the other factor itself; another one-term factor scales
         # it or shifts it (no two terms collide). Coefficients commute, so the
         # one-term factor may be either.
-        ring = self.ring
-        if other == ring.one:
+        ring, one = self.ring, self.ring.one
+        if other is one or other.terms == one.terms:
             return self
-        if self == ring.one:
+        if self is one or self.terms == one.terms:
             return other
         if len(self.terms) == 1:
             self, other = other, self
@@ -415,9 +412,11 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
 class Frac:
     """Normalized fraction of polynomials from one ring.
 
-    A sum or product of two fractions with denominator `ring.one`, or the
-    quotient of such a fraction by a fraction 1/c, is already normalized, so
-    it is built as is: nothing cancels against one, and the scale is right.
+    A denominator equal to one is `ring.one` itself, so `den is ring.one`
+    asks whether a fraction is a polynomial. A sum or product of two such
+    fractions, or the quotient of one by a fraction 1/c, is already
+    normalized, so it is built as is: nothing cancels against one, and the
+    scale is right.
     Over Q the content scaling makes a denominator-one fraction's
     coefficients, and a normalized denominator's, integers, and integer sums
     and products stay integer; over F_p and a `FracDomain` the denominator
@@ -447,10 +446,13 @@ class Frac:
     def __init__(self, num: Poly, den: Poly, normalize: bool = True):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.ring != den.ring:
+        ring = num.ring
+        if den.ring is not ring and den.ring != ring:
             raise SpecError("fraction parts from different rings")
         if normalize:
             num, den = _normalize(num, den)
+        elif den.ring is not ring and den.terms == ring.one.terms:  # a one from an equal ring
+            den = ring.one
         self.num = num
         self.den = den
 
@@ -464,7 +466,7 @@ class Frac:
         `ring`. A polynomial p is normalized only when (p, one) is not normal
         already: over Q when a coefficient is no integer, elsewhere never."""
         if isinstance(x, (Frac, Poly)):
-            if x.ring != ring:
+            if x.ring is not ring and x.ring != ring:
                 raise SpecError("fraction from a different ring")
             if isinstance(x, Frac):
                 return x
@@ -475,21 +477,38 @@ class Frac:
         return Frac(x, ring.one, normalize=rational and any(c.denominator != 1 for c in x.terms.values()))
 
     def _coerce(self, other):
-        return Frac.of(other, self.ring) if isinstance(other, (Frac, Poly, int, Fraction, Fp)) else None
+        """other as a fraction over this ring, or None. A value over the base
+        ring of this ring's coefficients is lifted to a constant; a value over
+        a ring whose coefficients are fractions of this ring is left to that
+        ring's own operator (None), which lifts self."""
+        ring = self.num.ring
+        if isinstance(other, Frac) and other.num.ring is ring:
+            return other
+        if isinstance(other, (Frac, Poly)) and other.ring != ring:
+            if isinstance(ring.domain, FracDomain) and other.ring == ring.domain.base:
+                return Frac.of(ring.const(other), ring)
+            if isinstance(other.ring.domain, FracDomain) and other.ring.domain.base == ring:
+                return None
+        return Frac.of(other, ring) if isinstance(other, (Frac, Poly, int, Fraction, Fp)) else None
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _reflected(self, x, name):
+        """Python reflects no operator between two `Frac`s, so a `Frac` that
+        `_coerce` leaves to its own ring gets its reflected operator here."""
+        return getattr(x, name)(self) if isinstance(x, Frac) else NotImplemented
+
+    def __add__(self, x):
+        other = self._coerce(x)
         if other is None:
-            return NotImplemented
+            return self._reflected(x, "__radd__")
         if not other.num:
             return self
         if not self.num:
             return other
         (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
-        one = self.ring.one
-        if b == one and d == one:
+        one = self.num.ring.one
+        if b is one and d is one:
             return Frac(a + c, one, normalize=False)
-        if self.ring.nvars != 1:
+        if self.num.ring.nvars != 1:
             return Frac(a * d + c * b, b * d)
         if b == d:  # g = b: only gcd(a + c, b) can cancel, and 0 cancels nothing
             t = a + c
@@ -508,29 +527,29 @@ class Frac:
     def __neg__(self):
         return Frac(-self.num, self.den, normalize=False)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
+    def __sub__(self, x):
+        other = self._coerce(x)
         if other is None:
-            return NotImplemented
+            return self._reflected(x, "__rsub__")
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, x):
+        other = self._coerce(x)
         if other is None:
-            return NotImplemented
+            return self._reflected(x, "__rmul__")
         if not other.num:
             return other
         return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
+    def __truediv__(self, x):
+        other = self._coerce(x)
         if other is None:
-            return NotImplemented
+            return self._reflected(x, "__rtruediv__")
         if not other.num:
             raise ZeroDivisionError("division by zero fraction")
         return self._times(other.den, other.num)
@@ -543,14 +562,15 @@ class Frac:
 
     def _times(self, c: Poly, d: Poly) -> "Frac":
         """self * (c/d), d != 0; in a one-variable ring the cross gcds cancel
-        before the parts are multiplied."""
+        before the parts are multiplied. Under `/`, d is a numerator, so it is
+        compared with one by value."""
         a, b = self.num, self.den
         if not a:
             return self
-        one = self.ring.one
-        if b == one and d == one:
+        one = a.ring.one
+        if b is one and (d is one or d.terms == one.terms):
             return Frac(a * c, one, normalize=False)
-        if self.ring.nvars != 1:
+        if a.ring.nvars != 1:
             return Frac(a * c, b * d)
         a, d, _ = _cancel_univariate(a, d, 0)
         c, b, _ = _cancel_univariate(c, b, 0)
@@ -584,7 +604,7 @@ class Frac:
         return hash(num.total_degree() - den.total_degree())
 
     def __str__(self):
-        if self.den == self.ring.one:
+        if self.den is self.ring.one:
             return poly_str(self.num)
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
 
@@ -603,10 +623,8 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         # its quotient Poly and content gcds
         c = num.terms[zero] / den.terms[zero]
         if isinstance(dom, FieldSpec) and dom.char == 0:
-            return (
-                Poly(ring, {zero: Fraction(c.numerator)}),
-                Poly(ring, {zero: Fraction(c.denominator)}),
-            )
+            den = ring.one if c.denominator == 1 else Poly(ring, {zero: Fraction(c.denominator)})
+            return Poly(ring, {zero: Fraction(c.numerator)}), den
         return Poly(ring, {zero: c}), ring.one
     return _normalize_general(num, den)
 
@@ -651,7 +669,7 @@ def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     ring = num.ring
     dom = ring.domain
     if den.is_const():
-        if den != ring.one:  # dividing by one would rebuild every term unchanged
+        if den.terms != ring.one.terms:  # dividing by one would rebuild every term unchanged
             c = den.const_value()
             num = Poly(ring, {e: v / c for e, v in num.terms.items()})
         den = ring.one
@@ -860,7 +878,7 @@ def parse_frac(ring: PolyRing, text: str, resolve=None) -> Frac:
     def parse_base():
         kind, val, p0 = take()
         if kind == "num":
-            return Frac(ring.const(val), ring.one)
+            return Frac.of(val, ring)
         if kind == "name":
             if val in ring:
                 return Frac.of(ring.var(val), ring)

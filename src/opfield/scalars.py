@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -191,10 +192,10 @@ class FieldSpec:
     def is_element(self, x) -> bool:
         return isinstance(x, (Fraction, Fp, int))
 
-    @property
+    @cached_property  # built once per field; a frozen dataclass without slots allows it
     def zero(self):
         return Fraction(0) if self.char == 0 else Fp(0, self.char)
 
-    @property
+    @cached_property
     def one(self):
         return Fraction(1) if self.char == 0 else Fp(1, self.char)

@@ -79,3 +79,19 @@ def test_relation_kernel_over_flow_field(flow_field):
     d2 = lambda v: k2.partial((1, 2), v)
     defect = d1(d2(x)) - d2(d1(x)) - t * d1(x)
     assert not k2.ideal.normal_form(defect.num)
+
+
+def test_base_field_values_mix_with_kernel_fractions(flow_field):
+    # a value of Q(t) lifts into the kernel ring from either side
+    k = Kernel(flow_field, 1, 1, ["x1_[1,1] - x1_[]"])
+    x, t = k.jet_var(1, ()), flow_field.gen("t")
+    s = 1 / t + t
+    for c in (t, s):
+        lifted = k.lift_coeff(c)
+        for ours, ref in (
+            (x + c, x + lifted), (c + x, lifted + x), (x - c, x - lifted), (c - x, lifted - x),
+            (x * c, x * lifted), (c * x, lifted * x), (x / c, x / lifted), (c / x, lifted / x),
+            (x.num + c, x + lifted), (c + x.num, lifted + x),
+        ):
+            assert ours.ring is k.ring and ours == ref and str(ours) == str(ref)
+        assert c == lifted and lifted == c and hash(c) == hash(lifted)

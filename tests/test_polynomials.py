@@ -113,6 +113,14 @@ def test_characteristics_stop_below_2_to_the_64():
             FieldSpec(char=char)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_field_spec_builds_one_and_zero_once(char):
+    f = FieldSpec(char)
+    assert f.one is f.one and f.zero is f.zero and (f.one, f.zero) == (1, 0)
+    assert PolyRing(("x",), f).one.terms[(0,)] is f.one
+    assert f == FieldSpec(char) and hash(f) == hash(FieldSpec(char)) and f != FieldSpec(char, ("t",))
+
+
 def test_exact_div(rxy):
     x, y = rxy.var("x"), rxy.var("y")
     assert exact_div(x * x - y * y, x - y) == x + y
@@ -915,3 +923,55 @@ def test_frac_of_matches_the_normalizing_constructor(p, n, k):
     for x, other in ((p, wider), (wider.lift(p), ring), (p, recoefficiented), (Frac.of(p, ring), wider)):
         with pytest.raises(SpecError, match="fraction from a different ring"):
             Frac.of(x, other)
+
+
+@st.composite
+def frac_pairs(draw):
+    """Two normalized fractions over one ring of 1-3 variables over Q, F_3 or
+    Q(t), and an exponent."""
+    kind = draw(st.sampled_from(sorted(_LEAD_DOMAINS)))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(("x", "y", "z")[:nvars], _LEAD_DOMAINS[kind])
+    dom = ring.domain
+
+    def poly():
+        exps = st.tuples(*[st.integers(0, 2)] * nvars)
+        terms = draw(st.lists(st.tuples(exps, NONZERO, st.integers(1, 4)), max_size=3))
+        if kind == "qt":
+            return Poly(ring, {e: _qt_coeff(dom.base, n, k) for e, n, k in terms})
+        return Poly(ring, {e: Fraction(n, k) if kind == "q" else dom.coerce(n) for e, n, k in terms})
+
+    a, b, c, d = poly(), poly() or ring.one, poly(), poly() or ring.one
+    return Frac(a, b), Frac(c, d), draw(st.integers(-2, 3))
+
+
+def _resolve_t(ring):
+    base = _LEAD_DOMAINS["qt"].base
+    return lambda name: ring.const(base.var(0)) if name == "t" and ring.domain == FracDomain(base) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(frac_pairs())
+def test_frac_results_keep_one_canonical_and_match_the_cross_formula(pair):
+    r, s, n = pair
+    ring = r.ring
+    (a, b), (c, d) = (r.num, r.den), (s.num, s.den)
+    cases = [(r + s, Frac(a * d + c * b, b * d)), (r - s, Frac(a * d - c * b, b * d)), (r * s, Frac(a * c, b * d))]
+    if s:
+        cases.append((r / s, Frac(a * d, b * c)))
+    if n >= 0:
+        cases.append((r**n, Frac(a**n, b**n)))
+    elif r:
+        cases.append((r**n, Frac(b ** -n, a ** -n)))
+    cases.append((parse_frac(ring, str(r), _resolve_t(ring)), Frac(a, b)))
+    # a one that is not ring.one: a value test, not identity, must catch it
+    other_one = Poly(ring, {(0,) * ring.nvars: ring.domain.coerce(1)})
+    cases += [(r * Frac.of(other_one, ring), r), (r / Frac.of(other_one, ring), r)]
+    assert (a * other_one).terms == (a * ring.one).terms == a.terms
+    # a ring equal to r's but not identical takes the slow path to the same value
+    twin = PolyRing(ring.names, ring.domain)
+    cases += [(r + Frac(twin.lift(c), twin.lift(d)), r + s), (Frac.of(twin.lift(a), ring), Frac(a, ring.one))]
+    for ours, ref in cases:
+        for x in (ours, ref):
+            assert (x.den == x.ring.one) == (x.den is x.ring.one)
+        assert ours == ref and str(ours) == str(ref)
