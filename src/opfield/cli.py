@@ -355,6 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+ caps int <-> str at 4300 digits
+        sys.set_int_max_str_digits(0)  # exact input and answers may have more
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verbose:

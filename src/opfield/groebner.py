@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import os
 
-from .polynomials import Poly, PolyRing, lex_key
+from .polynomials import Poly, PolyRing, coeff_div, lex_key
 from .scalars import SpecError
 
 DEFAULT_DEGREE_CAP = 12
@@ -75,7 +75,7 @@ def normal_form_list(f: Poly, basis: list[Poly]) -> Poly:
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
                 q = tuple(a - b for a, b in zip(e, ge))
-                work = work - Poly(ring, {q: c / gc}) * g
+                work = work - Poly(ring, {q: coeff_div(c, gc)}) * g
                 break
         else:
             rem_terms[e] = c
@@ -86,9 +86,9 @@ def normal_form_list(f: Poly, basis: list[Poly]) -> Poly:
 def s_poly(f: Poly, g: Poly) -> Poly:
     fe, fc = f.lead()
     ge, gc = g.lead()
-    l = _lcm(fe, ge)
-    mf = Poly(f.ring, {tuple(a - b for a, b in zip(l, fe)): f.ring.domain.one / fc})
-    mg = Poly(f.ring, {tuple(a - b for a, b in zip(l, ge)): f.ring.domain.one / gc})
+    l, one = _lcm(fe, ge), f.ring.domain.one
+    mf = Poly(f.ring, {tuple(a - b for a, b in zip(l, fe)): coeff_div(one, fc)})
+    mg = Poly(f.ring, {tuple(a - b for a, b in zip(l, ge)): coeff_div(one, gc)})
     return mf * f - mg * g
 
 

@@ -3,9 +3,12 @@
 Coefficients live in a domain attached to the ring: Q or F_p, given as a
 `FieldSpec` with no generators, or the fraction field of another polynomial
 ring (used for jet rings over a base function field). Over a base ring with no
-generators that fraction field is Q or F_p itself, and its coefficients are
-plain `Fraction` / `Fp` scalars. All arithmetic is exact; there is no floating
-point anywhere.
+generators that fraction field is Q or F_p itself.
+
+Over Q a coefficient whose value is an integer is stored as a Python `int`,
+any other as a `Fraction`; over F_p coefficients are `Fp`. Every coefficient
+division goes through `coeff_div`, since `int / int` is a float. All
+arithmetic is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -46,9 +49,12 @@ class FracDomain:
     of a base field K, be it a jet-ring coefficient, a Γ coefficient, a
     free-module coefficient or an operator value.
 
-    When K has no generators it is Q or F_p itself, and its values are plain
+    When K has no generators it is Q or F_p itself, and its values are
     `Fraction` / `Fp` scalars, printed as the constant `Frac` they stand for;
-    otherwise they are `Frac`s of the base ring."""
+    otherwise they are `Frac`s of the base ring. A value stays a `Fraction`
+    even when it is an integer, because the callers that hold values of K
+    divide them with `/`; only `Poly` coefficients over Q are stored as
+    `int`s."""
 
     base: "PolyRing"
 
@@ -76,7 +82,9 @@ class FracDomain:
                 if ring.domain != self.base.domain or ring.names != self.base.names[: ring.nvars]:
                     raise SpecError("fraction from a different base ring")
                 x = Frac(self.base.lift(x.num), self.base.lift(x.den))
-            return x if self.base.names else x.num.const_value() / x.den.const_value()
+            if self.base.names:
+                return x
+            x = coeff_div(x.num.const_value(), x.den.const_value())
         x = self.base.domain.coerce(x)
         return Frac.of(x, self.base) if self.base.names else x
 
@@ -105,9 +113,13 @@ class FracDomain:
 # ---------------------------------------------------------------------------
 
 class PolyRing:
-    """Polynomial ring with a fixed ordered list of variable names."""
+    """Polynomial ring with a fixed ordered list of variable names.
 
-    __slots__ = ("names", "domain", "_index", "nvars", "one")
+    `_over_q` tells that the coefficients are rational numbers, stored as an
+    `int` when integral and as a `Fraction` otherwise: the domain is Q, or
+    the fraction field of a ring over Q without variables (`_coeff`)."""
+
+    __slots__ = ("names", "domain", "_index", "nvars", "_over_q", "one")
 
     def __init__(self, names, domain=None):
         self.names = tuple(names)
@@ -116,9 +128,11 @@ class PolyRing:
         if len(self._index) != len(self.names):
             raise SpecError("duplicate variable names in ring")
         self.nvars = len(self.names)
+        dom = self.domain
+        self._over_q = dom.char == 0 and (isinstance(dom, FieldSpec) or not dom.base.names)
         # one shared Poly: a product by it returns the other factor itself, so
         # nothing may ever write to the .terms of this or any other Poly
-        self.one = Poly(self, {(0,) * self.nvars: self.domain.one})
+        self.one = Poly(self, {(0,) * self.nvars: 1 if self._over_q else dom.one})
 
     def __eq__(self, other):
         return self is other or (
@@ -138,8 +152,15 @@ class PolyRing:
     def zero(self) -> "Poly":
         return Poly(self, {})
 
-    def const(self, c) -> "Poly":
+    def _coeff(self, c):
+        """c as a coefficient of this ring; over Q an integer is an `int`."""
+        if type(c) is int and self._over_q:
+            return c
         c = self.domain.coerce(c)
+        return c.numerator if self._over_q and c.denominator == 1 else c
+
+    def const(self, c) -> "Poly":
+        c = self._coeff(c)
         if not c:
             return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
@@ -149,7 +170,7 @@ class PolyRing:
             i = self._index[i]
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly(self, {tuple(exp): self.domain.one})
+        return Poly(self, {tuple(exp): 1 if self._over_q else self.domain.one})
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -201,8 +222,8 @@ class Poly:
         return not any(map(any, self.terms))
 
     def const_value(self):
-        zero_exp = (0,) * self.ring.nvars
-        return self.terms.get(zero_exp, self.ring.domain.coerce(0))
+        c = self.terms.get((0,) * self.ring.nvars)
+        return self.ring._coeff(0) if c is None else c
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -307,7 +328,7 @@ class Poly:
         return result
 
     def scale(self, c):
-        c = self.ring.domain.coerce(c)
+        c = self.ring._coeff(c)
         if not c:
             return self.ring.zero
         return Poly(self.ring, {e: cc * c for e, cc in self.terms.items()})
@@ -345,7 +366,7 @@ class Poly:
         one = self.ring.domain.one
         if c == one:
             return self
-        return Poly(self.ring, {e: cc / c for e, cc in self.terms.items()})
+        return Poly(self.ring, {e: coeff_div(cc, c) for e, cc in self.terms.items()})
 
     def deriv(self, i: int) -> "Poly":
         res: dict = {}
@@ -399,10 +420,21 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
         if any(a < b for a, b in zip(e, ge)):
             return None
         q = tuple(a - b for a, b in zip(e, ge))
-        qc = c / gc
+        qc = coeff_div(c, gc)
         quo[q] = qc
         rem = rem - Poly(f.ring, {q: qc}) * g
     return Poly(f.ring, quo)
+
+
+def coeff_div(a, b):
+    """a / b for two coefficients: over Q the `int` quotient when b divides
+    a, else a `Fraction`, never the float of `int / int`; elsewhere the
+    field's own division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +450,13 @@ class Frac:
     normalized, so it is built as is: nothing cancels against one, and the
     scale is right.
     Over Q the content scaling makes a denominator-one fraction's
-    coefficients, and a normalized denominator's, integers, and integer sums
-    and products stay integer; over F_p and a `FracDomain` the denominator
-    need only be monic. So every `Frac` over `ring.one` must be normalized,
-    and only this module decides that a pair is: each `normalize=False` site
-    builds the negation, power, sum or product of normalized fractions, a
-    rescaled pair, or a polynomial over one that `Frac.of` found normal.
+    coefficients, and a normalized denominator's, integers, stored as `int`s,
+    and `int` sums and products stay `int`; over F_p and a `FracDomain` the
+    denominator need only be monic. So every `Frac` over `ring.one` must be
+    normalized, and only this module decides that a pair is: each
+    `normalize=False` site builds the negation, power, sum or product of
+    normalized fractions, a rescaled pair, or a polynomial over one that
+    `Frac.of` found normal.
 
     In a one-variable ring every normalized fraction is in lowest terms, so
     `+ - * /` there follow Henrici's rule (Knuth, TAOCP Vol. 2, §4.5.1): in
@@ -464,7 +497,7 @@ class Frac:
     def of(x, ring: PolyRing) -> "Frac":
         """x, a `Frac` or `Poly` over `ring` or a scalar, as a fraction over
         `ring`. A polynomial p is normalized only when (p, one) is not normal
-        already: over Q when a coefficient is no integer, elsewhere never."""
+        already: over Q when a coefficient is no `int`, elsewhere never."""
         if isinstance(x, (Frac, Poly)):
             if x.ring is not ring and x.ring != ring:
                 raise SpecError("fraction from a different ring")
@@ -474,7 +507,7 @@ class Frac:
             x = ring.const(x)
         dom = ring.domain
         rational = isinstance(dom, FieldSpec) and dom.char == 0
-        return Frac(x, ring.one, normalize=rational and any(c.denominator != 1 for c in x.terms.values()))
+        return Frac(x, ring.one, normalize=rational and any(type(c) is not int for c in x.terms.values()))
 
     def _coerce(self, other):
         """other as a fraction over this ring, or None. A value over the base
@@ -595,7 +628,7 @@ class Frac:
     def __hash__(self):
         num, den = self.num, self.den
         if num.is_const() and den.is_const():  # as its scalar value, which it equals
-            return hash(num.const_value() / den.const_value())
+            return hash(coeff_div(num.const_value(), den.const_value()))
         if self.ring.nvars <= 1:
             return hash((num, den))
         # partial cancellation leaves equal fractions with different parts;
@@ -621,10 +654,9 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.terms.keys() == den.terms.keys() == {zero}:
         # constant over constant: the pair _normalize_general returns, without
         # its quotient Poly and content gcds
-        c = num.terms[zero] / den.terms[zero]
-        if isinstance(dom, FieldSpec) and dom.char == 0:
-            den = ring.one if c.denominator == 1 else Poly(ring, {zero: Fraction(c.denominator)})
-            return Poly(ring, {zero: Fraction(c.numerator)}), den
+        c = coeff_div(num.terms[zero], den.terms[zero])
+        if type(c) is Fraction and isinstance(dom, FieldSpec):  # over Q: integer parts
+            return Poly(ring, {zero: c.numerator}), Poly(ring, {zero: c.denominator})
         return Poly(ring, {zero: c}), ring.one
     return _normalize_general(num, den)
 
@@ -671,22 +703,33 @@ def _rescale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_const():
         if den.terms != ring.one.terms:  # dividing by one would rebuild every term unchanged
             c = den.const_value()
-            num = Poly(ring, {e: v / c for e, v in num.terms.items()})
+            num = Poly(ring, {e: coeff_div(v, c) for e, v in num.terms.items()})
         den = ring.one
     lc = den.terms[max(den.terms, key=grevlex_key)]
     if isinstance(dom, FieldSpec) and dom.char == 0:
-        # one over the content of num and den together: the gcd of their
-        # numerators over the lcm of their denominators
+        # times d/n, one over the content of num and den together: n is the
+        # gcd of their numerators and d the lcm of their denominators, so
+        # every scaled coefficient is an integer, and is made an `int`
         cs = (*num.terms.values(), *den.terms.values())
-        scale = Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
+        ints = all(type(c) is int for c in cs)
+        n = gcd(*cs) if ints else gcd(*(c.numerator for c in cs))
+        d = 1 if ints else lcm(*(c.denominator for c in cs))
         if lc < 0:
-            scale = -scale
-        return (num, den) if scale == 1 else (num.scale(scale), den.scale(scale))
+            n = -n
+        if ints and n == 1:
+            return num, den
+        # a denominator one has n = 1, and stays `ring.one` unless d > 1
+        return _integral(num, n, d), den if den is ring.one and d == 1 else _integral(den, n, d)
     # prime field or fraction coefficients: monic denominator
     one = dom.one
     if lc == one:
         return num, den
     return num.scale(one / lc), den.scale(one / lc)
+
+
+def _integral(p: Poly, n: int, d: int) -> Poly:
+    """p times d/n, where d/n times each coefficient of p is an integer."""
+    return Poly(p.ring, {e: c.numerator * (d // c.denominator) // n for e, c in p.terms.items()})
 
 
 def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly, Poly | None]:
@@ -701,12 +744,12 @@ def _cancel_univariate(num: Poly, den: Poly, i: int) -> tuple[Poly, Poly, Poly |
     if den.is_const() or num.is_const():
         return num, den, None
     ring, dom = num.ring, num.ring.domain
-    zero, one = dom.coerce(0), dom.one
+    zero, one = (0, 1) if ring._over_q else (dom.coerce(0), dom.one)
     a, b = _dense(num, i, zero), _dense(den, i, zero)
     g, r = a, b
     while len(r) > 1:
         lc = r[-1]
-        r = [c / lc for c in r[:-1]] + [one]
+        r = [coeff_div(c, lc) for c in r[:-1]] + [one]
         g, r = r, _dense_divmod(g, r)[1]
     if r:  # a nonzero constant remainder: num and den are coprime
         return num, den, None
@@ -907,6 +950,9 @@ def parse_frac(ring: PolyRing, text: str, resolve=None) -> Frac:
 def parse_poly(ring: PolyRing, text: str, resolve=None) -> Poly:
     """Parse text that must denote a polynomial (constant denominators only)."""
     f = parse_frac(ring, text, resolve=resolve)
+    if f.den is ring.one:
+        return f.num
     if not f.den.is_const():
         raise ParseError("expected a polynomial, got a proper fraction")
-    return f.num.scale(ring.domain.one / f.den.const_value())
+    c = f.den.const_value()
+    return Poly(ring, {e: coeff_div(v, c) for e, v in f.num.terms.items()})

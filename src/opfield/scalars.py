@@ -165,7 +165,8 @@ class FieldSpec:
                 raise SpecError(f"bad generator name {g!r}")
 
     def coerce(self, x):
-        """Coerce an int, string like '3/2', Fraction or Fp into this field."""
+        """Coerce an int, string like '3/2' or '-0.25', Fraction or Fp into
+        this field; a string with an exponent, like '1e3', is refused."""
         if isinstance(x, Fraction):
             if self.char == 0:
                 return x
@@ -182,6 +183,8 @@ class FieldSpec:
                 raise SpecError(f"{x!r} is not a scalar")
             return Fraction(x) if self.char == 0 else Fp(x, self.char)
         if isinstance(x, str):
+            if "e" in x or "E" in x:  # 1e2000000 is a short string with a huge value
+                raise SpecError(f"{x!r} is not a scalar: no exponent notation")
             try:
                 value = Fraction(x)
             except (ValueError, ZeroDivisionError):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from importlib.resources import files
 from pathlib import Path
 
@@ -864,3 +865,34 @@ def test_dfield_validate_with_one_live_operator_is_fast(tmp_path, capsys):
     assert main(["dfield", "validate", str(path)]) == 0
     assert time.perf_counter() - start < 0.5
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    # Decimal prints an int of any length, str() only up to the cap
+    [("7" * 5000 + "*t", "7" * 5000), ("2^15000*t^2", f"{Decimal(2**15001)}*t")],
+    ids=["5000-digit-literal", "4516-digit-coefficient"],
+)
+def test_dfield_apply_reads_and_prints_integers_of_any_length(expr, value):
+    # a fresh interpreter caps int <-> str at 4300 digits; these answers are
+    # exact, and both cases ended in a traceback and exit 1
+    argv = ["dfield", "apply", str(FIXTURES / "dfield_qt.json"), "--op", "1,1", "--expr", expr]
+    start = time.perf_counter()
+    proc = run_cli_process(argv)
+    assert time.perf_counter() - start < 3.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"value: {value}"
+    assert "Traceback" not in proc.stderr
+
+
+def test_scalar_with_an_exponent_is_a_parse_error(tmp_path, capsys):
+    # Fraction("1e20000000") builds a 20-million-digit integer: 33 s here
+    spec = fixture("algebra_truncation3.json")
+    spec["products"][0]["coeffs"]["2"] = "1e20000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    assert main(["algebra", "validate", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("PARSE_ERROR: ") and "exponent" in err

@@ -36,3 +36,14 @@ def test_no_module_but_polynomials_wraps_a_polynomial_over_one():
         return name == "Frac" and len(call.args) >= 2 and getattr(call.args[1], "attr", None) == "one"
 
     assert _offending_calls(over_one) == []
+
+
+def test_groebner_divides_coefficients_only_through_coeff_div():
+    # over Q `int / int` is a float, so a `/` there would lose exactness
+    path = next(p for p in SOURCES if p.name == "groebner.py")
+    divisions = [
+        f"groebner.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []

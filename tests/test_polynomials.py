@@ -11,6 +11,7 @@ from opfield import polynomials
 from opfield.cli import main
 from opfield.commutation import GammaSystem
 from opfield.dfields import DField
+from opfield.groebner import buchberger, normal_form_list
 from opfield.kernels import Kernel
 from opfield.local_algebra import derivation_algebra
 from opfield.polynomials import (
@@ -117,7 +118,9 @@ def test_characteristics_stop_below_2_to_the_64():
 def test_field_spec_builds_one_and_zero_once(char):
     f = FieldSpec(char)
     assert f.one is f.one and f.zero is f.zero and (f.one, f.zero) == (1, 0)
-    assert PolyRing(("x",), f).one.terms[(0,)] is f.one
+    # over Q a coefficient one is the int 1; the field's own one stays a Fraction
+    coeff = PolyRing(("x",), f).one.terms[(0,)]
+    assert (type(coeff), coeff) == (int, 1) if char == 0 else coeff is f.one
     assert f == FieldSpec(char) and hash(f) == hash(FieldSpec(char)) and f != FieldSpec(char, ("t",))
 
 
@@ -513,9 +516,13 @@ def _shaped(kind, ring, shape, terms) -> Poly:
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_REF_DOMAINS)), st.integers(1, 3), _REF_TERMS, _REF_TERMS)
+@example("q", 1, [((0, 0, 0), 1, 1)] * 2, [((0, 0, 0), 1, 1)] * 2)  # ring.one times a Fraction(1)
 def test_products_and_sums_match_the_reference_loops(kind, nvars, p_terms, q_terms):
     # a zero, one, constant or monomial operand skips the double loop; every
-    # shape pair must give the loop's terms, in its order and of its types
+    # shape pair must give the loop's terms, in its order and of its types,
+    # except that a product by a factor equal to one returns the other
+    # factor itself, which over Q may hold an int where the loop has an
+    # integral Fraction
     ring = PolyRing(("x", "y", "z")[:nvars], _REF_DOMAINS[kind])
     for p_shape in _SHAPES:
         for q_shape in _SHAPES:
@@ -523,7 +530,8 @@ def test_products_and_sums_match_the_reference_loops(kind, nvars, p_terms, q_ter
             for ours, ref in [(p * q, _ref_mul(p, q)), (p + q, _ref_add(p, q)), (p - q, _ref_sub(p, q))]:
                 assert ours.terms == ref.terms, (p_shape, q_shape)
                 assert list(ours.terms) == list(ref.terms), (p_shape, q_shape)
-                assert [type(c) for c in ours.terms.values()] == [type(c) for c in ref.terms.values()]
+                for c, r in zip(ours.terms.values(), ref.terms.values()):
+                    assert type(c) is type(r) or (type(c), type(r), r.denominator) == (int, Fraction, 1)
     p = _shaped(kind, ring, "general", p_terms)
     if len(p.terms) > 1:  # else p may be zero or one itself, and either operand is the answer
         assert p * ring.one is p and ring.one * p is p
@@ -807,8 +815,9 @@ def test_bare_frac_domain_refuses_fractions_over_generators():
             dom.coerce(foreign)
 
 
-@pytest.mark.parametrize("char, kind", [(0, Fraction), (3, Fp)])
+@pytest.mark.parametrize("char, kind", [(0, int), (3, Fp)])
 def test_kernel_over_bare_field_has_scalar_coefficients(char, kind):
+    # over Q the basis of a relation with integer coefficients holds ints
     spec = FieldSpec(char)
     field = DField(spec, GammaSystem(derivation_algebra(1, char=char), None, {}, {}, spec), {})
     k = Kernel(field, 1, 1, ["x1_[1,1] - 2*x1_[]^2 - x1_[] + 1"]).prolong()
@@ -974,4 +983,78 @@ def test_frac_results_keep_one_canonical_and_match_the_cross_formula(pair):
     for ours, ref in cases:
         for x in (ours, ref):
             assert (x.den == x.ring.one) == (x.den is x.ring.one)
+        assert ours == ref and str(ours) == str(ref)
+
+
+@st.composite
+def rational_inputs(draw):
+    """A ring over Q of 1-3 variables, four polynomials of degree at most 2
+    in it, and an exponent. Each polynomial comes twice: as the reference,
+    every coefficient a `Fraction`, and with each integral coefficient
+    either an int or a `Fraction`, drawn term by term."""
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: sum(e) <= 2)
+    coeffs = st.tuples(NONZERO, st.integers(1, 3), st.booleans())
+
+    def pair():
+        terms = draw(st.dictionaries(exps, coeffs, max_size=3))
+        ref = Poly(ring, {e: Fraction(n, k) for e, (n, k, _) in terms.items()})
+        mixed = {e: n // k if as_int and n % k == 0 else Fraction(n, k) for e, (n, k, as_int) in terms.items()}
+        return Poly(ring, mixed), ref
+
+    return ring, [pair() for _ in range(4)], draw(st.integers(-2, 3))
+
+
+def _with_fractions(p: Poly) -> Poly:
+    return Poly(p.ring, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def _ref_pow(p: Poly, n: int) -> Poly:
+    acc = p.ring.one
+    for _ in range(n):
+        acc = _ref_mul(acc, p)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_inputs())
+def test_integral_coefficients_over_q_are_ints_and_change_no_result(inputs):
+    # over Q an integral coefficient is stored as an int: the results equal,
+    # and print as, the ones computed with Fraction coefficients throughout
+    ring, pairs, n = inputs
+    (p, p0), (q, q0), (r, r0), (s, s0) = pairs
+    cases = [(p + q, _ref_add(p0, q0)), (p - q, _ref_sub(p0, q0)), (p * q, _ref_mul(p0, q0)),
+             (p ** abs(n), _ref_pow(p0, abs(n)))]
+    if p:
+        lc = p0.lc()
+        cases.append((p.monic(), Poly(ring, {e: c / lc for e, c in p0.terms.items()})))
+    if q:
+        cases.append((exact_div(p * q, q), p0))
+        quotient = exact_div(p, q)
+        assert (quotient is None) == (exact_div(p0, q0) is None)
+        if quotient is not None:
+            cases.append((_ref_mul(quotient, q), p0))
+    basis, basis0 = buchberger([q, r, s]), buchberger([q0, r0, s0])
+    cases += list(zip(basis, basis0)) + [(normal_form_list(p, list(basis)), normal_form_list(p0, list(basis0))),
+                                         (normal_form_list(p, [g for g in (q, r) if g]),
+                                          normal_form_list(p0, [g for g in (q0, r0) if g]))]
+    assert len(basis) == len(basis0)
+    # fractions: the reference is the cross formula on the parts, as Fractions
+    u, v = Frac(p, q or ring.one), Frac(r, s or ring.one)
+    (a, b), (c, d) = [(_with_fractions(w.num), _with_fractions(w.den)) for w in (u, v)]
+    cases += [(u + v, Frac(_ref_add(_ref_mul(a, d), _ref_mul(c, b)), _ref_mul(b, d))),
+              (u - v, Frac(_ref_sub(_ref_mul(a, d), _ref_mul(c, b)), _ref_mul(b, d))),
+              (u * v, Frac(_ref_mul(a, c), _ref_mul(b, d))),
+              (parse_frac(ring, str(u)), Frac(a, b)), (Frac(p0, q0 or ring.one), Frac(a, b))]
+    if v:
+        cases.append((u / v, Frac(_ref_mul(a, d), _ref_mul(b, c))))
+    if n >= 0 or u:
+        cases.append((u**n, Frac(_ref_pow(a, n), _ref_pow(b, n)) if n >= 0 else Frac(_ref_pow(b, -n), _ref_pow(a, -n))))
+    for ours, ref in cases:
+        parts = (ours.num, ours.den) if isinstance(ours, Frac) else (ours,)
+        coefficients = [x for part in parts for x in part.terms.values()]
+        assert not any(isinstance(x, float) for x in coefficients)
+        if isinstance(ours, Frac):
+            assert all(type(x) is int for x in coefficients)
         assert ours == ref and str(ours) == str(ref)
